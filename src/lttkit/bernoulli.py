@@ -121,11 +121,16 @@ class BernoulliSystem:
         ]
 
     def bernoulli_from_solution(self, y) -> list:
-        """Undo the diagonal scaling; typeII gets B_0 = 1 prepended."""
+        """Undo the diagonal scaling of the leading len(y) <= n unknowns.
+
+        The scaling of unknown i does not depend on n, so a truncated
+        solution of a padded system unscales exactly. typeII gets B_0 = 1
+        prepended.
+        """
         if self.kind == "typeI":
-            return [y[i] * factorial(2 * i) / self.x**i for i in range(self.n)]
+            return [v * factorial(2 * i) / self.x**i for i, v in enumerate(y)]
         out = [Fraction(1)]
-        out.extend(y[i] * factorial(2 * i + 2) / self.x ** (i + 1) for i in range(self.n))
+        out.extend(v * factorial(2 * i + 2) / self.x ** (i + 1) for i, v in enumerate(y))
         return out
 
 
@@ -379,9 +384,8 @@ def bernoulli_numbers(
         y = series.ltt_solve_forward(sys_.a, sys_.rhs())
     else:
         b = base if base is not None else (3 if family == "ramanujan" else 2)
-        padded = gen_system(family, kind, _next_power(m, b), x)
-        y = ltt_solve_fast(padded.a, padded.rhs(), b)[:m]
-        sys_ = gen_system(family, kind, m, x)
+        sys_ = gen_system(family, kind, _next_power(m, b), x)
+        y = ltt_solve_fast(sys_.a, sys_.rhs(), b)[:m]
     return sys_.bernoulli_from_solution(y)[:count]
 
 

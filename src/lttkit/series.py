@@ -23,9 +23,17 @@ class SingularMatrixError(ZeroDivisionError):
     """Leading coefficient is zero, the triangular system has no inverse."""
 
 
-def _conv_trunc(a, v, ops=None):
-    # w_i = sum_{j<=i} a_{i-j} v_j for i < len(a); all pair products are formed
+def ltt_matvec_naive(a, v, ops: OpCounter | None = None):
+    """Multiply the l.t.T. matrix with first column ``a`` by ``v``, O(n^2).
+
+    w_i = sum_{j<=i} a_{i-j} v_j, the truncated series product a(z)*v(z) mod
+    z**n; every pair product is formed and counted.
+    """
     n = len(a)
+    if n != len(v):
+        raise ValueError(f"length mismatch: column {n}, vector {len(v)}")
+    if not a:
+        raise ValueError("empty column")
     ar = a[::-1]
     out = [sum(map(mul, ar[n - 1 - i :], v)) for i in range(n)]
     if ops is not None:
@@ -33,26 +41,10 @@ def _conv_trunc(a, v, ops=None):
     return out
 
 
-def ltt_matvec_naive(a, v, ops: OpCounter | None = None):
-    """Multiply the l.t.T. matrix with first column ``a`` by ``v``, O(n^2)."""
-    if len(a) != len(v):
-        raise ValueError(f"length mismatch: column {len(a)}, vector {len(v)}")
-    if not a:
-        raise ValueError("empty column")
-    return _conv_trunc(a, v, ops)
-
-
-def ltt_compose(a, u, ops: OpCounter | None = None):
-    """First column of the product of the l.t.T. matrices built on a and u.
-
-    Identical to the truncated series product a(z)*u(z) mod z**n, so the
-    result column again generates the product matrix.
-    """
-    if len(a) != len(u):
-        raise ValueError(f"length mismatch: {len(a)} vs {len(u)}")
-    if not a:
-        raise ValueError("empty column")
-    return _conv_trunc(a, u, ops)
+# The first column of the product of the l.t.T. matrices built on a and u is
+# L(a) u, the same truncated series product, so the result column again
+# generates the product matrix.
+ltt_compose = ltt_matvec_naive
 
 
 def ltt_solve_forward(a, f):

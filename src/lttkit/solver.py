@@ -20,19 +20,37 @@ the truncated product of the rotations a(z*t), ..., a(z*t**(base-1)) with t
 the base-th root of unity, which only exists here in complex arithmetic.
 
 Rational inputs (base 2 and 3) are solved exactly with the quadratic naive
-kernels at shrinking block sizes; complex inputs may route every block
-product through the radix-base FFT, giving the O(n log n) operation count
-that the multiplication counter in SolveTrace records.
+kernels at shrinking block sizes; the complex ``naive`` backend runs the
+same kernels in floating point and serves as the reference.
+
+The complex ``fft`` backend (the default) runs each level in the transform
+domain, as one Graeffe root-squaring step: the next column holds the
+z**base coefficients of a(z) a(t z) ... a(t**(base-1) z). With N = base*m,
+one length-N transform A of the zero-padded column gives every rotation
+a(t**i z) as the cyclic shift of A by i*m. The companion column's samples H
+are the product of the shifts i = 1..base-1 (a plain shift for base 2), and
+one length-m inverse transform of the first m products A*H yields the next
+column. H is kept for the second sweep, where each step is one length-m
+transform of the vector and one length-N inverse transform of its product
+with H. So a level costs two transforms in each sweep, plus one length-N
+inverse transform that writes out the companion column for base >= 3.
+SolveTrace counts every transform multiplication and pointwise product,
+O(n log n) in total.
 
 The companion columns are built from products of the input column with
 itself, so their dynamic range roughly squares at every level. Exact
-arithmetic is immune; in floating point large systems need well scaled
-columns (decaying coefficients, or flat ones of small magnitude) for the
-result to carry precision.
+arithmetic is immune. In floating point a transform's rounding error scales
+with the largest coefficient of the whole product, so each transform-domain
+level samples on a circle |z| = s <= 1 chosen from the column's top
+coefficients, which keeps a growing column's long tail from swamping the
+low coefficients a level keeps. A column whose inverse leaves the double
+range raises OverflowError rather than returning non-finite entries.
 """
 
 from __future__ import annotations
 
+import cmath
+import math
 from dataclasses import dataclass, replace
 from operator import mul
 
@@ -107,12 +125,12 @@ def _hat_base3_exact(a, ops: OpCounter | None):
     return out
 
 
-def _hat_product(a, base, ops, matvec):
+def _hat_product(a, base, ops):
     """Companion column as the product of rotated copies of a, truncated.
 
     Rotation i multiplies coefficient k by t**(i*k), t the principal base-th
-    root of unity; the rotations are folded together with base-2 many l.t.T.
-    products through the supplied matvec.
+    root of unity; the rotations are folded together with base-2 many naive
+    l.t.T. products.
     """
     n = len(a)
     t = principal_root(base)
@@ -126,7 +144,7 @@ def _hat_product(a, base, ops, matvec):
             p *= ti
         if ops is not None:
             ops.add(2 * (n - 1))  # rotation scalings and the power ladder
-        out = rot if out is None else matvec(out, rot, ops)
+        out = rot if out is None else series.ltt_matvec_naive(out, rot, ops)
     return out
 
 
@@ -138,12 +156,6 @@ def _resolve_backend(field: str, matvec_backend: str) -> str:
     if matvec_backend == "fft" and field == RATIONAL:
         raise ValueError("fft backend works on complex scalars only")
     return matvec_backend
-
-
-def _matvec_for(backend: str, base: int):
-    if backend == "naive":
-        return lambda a, v, ops: series.ltt_matvec_naive(a, v, ops)
-    return lambda a, v, ops: fft.ltt_matvec_fft(a, v, base, ops)
 
 
 def sparsify_hat(a, base: int, ops: OpCounter | None = None):
@@ -164,10 +176,10 @@ def sparsify_hat(a, base: int, ops: OpCounter | None = None):
         if base == 3:
             return _hat_base3_exact(a, ops)
         raise ValueError(f"no exact companion form for base {base}; use complex scalars")
-    return _hat_product(a, base, ops, _matvec_for("naive", base))
+    return _hat_product(a, base, ops)
 
 
-def _subsampled_next(col, hat, base, ops, matvec):
+def _subsampled_next(col, hat, base, ops):
     """Entries 0, base, 2*base, ... of L(col) hat via base products of size m/base.
 
     Splitting the running index by residue class mod base turns the one
@@ -176,9 +188,9 @@ def _subsampled_next(col, hat, base, ops, matvec):
     hat[r::base] and lands one slot later.
     """
     mb = len(col) // base
-    nxt = matvec(col[0::base], hat[0::base], ops)
+    nxt = series.ltt_matvec_naive(col[0::base], hat[0::base], ops)
     for r in range(1, base):
-        tail = matvec(col[base - r :: base], hat[r::base], ops)
+        tail = series.ltt_matvec_naive(col[base - r :: base], hat[r::base], ops)
         for i in range(1, mb):
             nxt[i] += tail[i - 1]
     return nxt
@@ -193,7 +205,7 @@ def sparsify_step(a, base: int, ops: OpCounter | None = None) -> SparsifyResult:
     if len(a) % base:
         raise ValueError(f"length {len(a)} not divisible by base {base}")
     hat = sparsify_hat(a, base, ops)
-    nxt = _subsampled_next(a, hat, base, ops, _matvec_for("naive", base))
+    nxt = _subsampled_next(a, hat, base, ops)
     return SparsifyResult(hat=hat, next=nxt)
 
 
@@ -213,12 +225,111 @@ def _matvec_on_spread(col, w, base, out_len, ops):
     return out
 
 
+def _level_radius(col, base):
+    """Radius s <= 1 of the circle that a transform-domain level samples on.
+
+    A level keeps the coefficients below m = len(col) of products of about
+    base copies of the column, and the transforms' rounding error scales
+    with the largest coefficient of the whole product, whose tail can dwarf
+    the kept part once the column grows. Sampling on |z| = s multiplies
+    coefficient k by s**k. s = 1 / max |col[k]|**(1/k) over the top part
+    k > (m-1)/base caps that part at 1, which balances the product's tail
+    against its constant term. A column whose top part is bounded by 1
+    gets s = 1 and is not rescaled.
+    """
+    m = len(col)
+    lo = (m - 1) // base + 1
+    top = 0.0
+    for k, v in enumerate(map(abs, col[lo:]), lo):
+        if v > 1.0:
+            top = max(top, math.log(v) / k)
+    s = math.exp(-top)
+    if s == 0.0:
+        raise OverflowError(f"infinite entry in the length-{m} column of a level")
+    return s
+
+
+def _rescaled(values, r, ops):
+    # values[k] * r**k; r**k raises OverflowError once it leaves the double range
+    ops.add(2 * len(values))
+    return [v * r**k for k, v in enumerate(values)]
+
+
+def _graeffe_level(col, base, ops):
+    """One complex nullification level in the transform domain: (H, s, next).
+
+    With m = len(col), N = base*m and A the length-N transform of the
+    zero-padded column a(s z), s from _level_radius, the rotation
+    a(t**i s z) samples to A shifted cyclically by i*m. H, the product of the
+    shifts i = 1..base-1 (a plain shift for base 2), samples the untruncated
+    companion column, of degree below N, on |z| = s. a(z) times that column
+    is g(z**base) with deg g < m, so the first m products A[j]*H[j] sample
+    g(s**base z) at the m-th roots of unity and its leading m/base
+    coefficients, unscaled, are the next column.
+    """
+    m = len(col)
+    n = base * m
+    s = _level_radius(col, base)
+    if s < 1.0:
+        col = _rescaled(col, s, ops)
+    samples = fft.dft(col + [0j] * (n - m), fft.plan_for(n, base), ops)
+    h = samples[m:] + samples[:m]
+    for i in range(2, base):
+        k = i * m
+        h = [p * q for p, q in zip(h, samples[k:] + samples[:k])]
+    ops.add((base - 2) * n)
+    if m == base:
+        return h, s, [1 + 0j]
+    g = fft.idft([p * q for p, q in zip(samples[:m], h)], fft.plan_for(m, base), ops)
+    ops.add(m)
+    nxt = g[: m // base]
+    if s < 1.0:
+        nxt = _rescaled(nxt, (1 / s) ** base, ops)
+    nxt[0] = 1 + 0j
+    return h, s, nxt
+
+
+def _hat_from_samples(h, s, m, base, ops):
+    """Leading m coefficients of the companion column sampled by h on |z| = s."""
+    hat = fft.idft(h, fft.plan_for(len(h), base), ops)[:m]
+    if s < 1.0:
+        hat = _rescaled(hat, 1 / s, ops)
+    hat[0] = 1 + 0j
+    return hat
+
+
+def _apply_hat_samples(h, s, w, base, ops):
+    """Coefficients 0..m-1 of hat(z) * w(z**base), hat sampled by h on |z| = s.
+
+    h has length N = base*m and w length m/base. w((s z)**base) at the N-th
+    roots of unity is the length-m transform of w(s**base z) tiled base
+    times; the product has degree below N, so the cyclic inverse transform
+    does not alias.
+    """
+    n = len(h)
+    m = n // base
+    if s < 1.0:
+        w = _rescaled(w, s**base, ops)
+    ws = fft.dft(w + [0j] * (m - len(w)), fft.plan_for(m, base), ops)
+    ops.add(n)
+    out = fft.idft([p * q for p, q in zip(h, ws * base)], fft.plan_for(n, base), ops)[:m]
+    return _rescaled(out, 1 / s, ops) if s < 1.0 else out
+
+
+def _require_finite(values, name):
+    for i, v in enumerate(values):
+        if isinstance(v, (complex, float)) and not cmath.isfinite(v):
+            raise ValueError(f"non-finite {name} entry at index {i}: {v!r}")
+
+
 def invert_first_column(a, base: int, matvec_backend: str = "auto", ops: OpCounter | None = None):
     """First column of the inverse of the n x n l.t.T. matrix built on ``a``.
 
     n must be a power of ``base``. Returns (x, SolveTrace). Exact over
     rationals (bases 2 and 3); with complex scalars the default backend runs
-    every block product through the radix-base FFT.
+    every level and every assembly step in the transform domain. NaN or
+    infinite entries raise ValueError; a complex inverse column that leaves
+    the double range raises OverflowError.
 
     A column whose off-multiple entries are already zero skips its
     nullification level, the shorter column is read off directly.
@@ -234,7 +345,7 @@ def invert_first_column(a, base: int, matvec_backend: str = "auto", ops: OpCount
     backend = _resolve_backend(field, matvec_backend)
     if field == RATIONAL and base > 3:
         raise ValueError(f"no exact companion form for base {base}; use complex scalars")
-    matvec = _matvec_for(backend, base)
+    _require_finite(a, "column")
     counter = ops if ops is not None else OpCounter()
     start = counter.mults
     col = list(a) if a0 == 1 else [v / a0 for v in a]
@@ -243,36 +354,48 @@ def invert_first_column(a, base: int, matvec_backend: str = "auto", ops: OpCount
         return [col[0] if a0 == 1 else col[0] / a0], trace
 
     hats = []
+    sampled = []  # fft backend: each level's (H, s), None where skipped
     for _ in range(levels):
         m = len(col)
+        level = None
         if _already_sparse(col, base):
             hat = [col[0]] + [0] * (m - 1)
             nxt = col[::base]
+        elif backend == "fft":
+            h, s, nxt = _graeffe_level(col, base, counter)
+            hat = _hat_base2(col) if base == 2 else _hat_from_samples(h, s, m, base, counter)
+            level = (h, s)
         else:
             if base == 2:
                 hat = _hat_base2(col)
             elif field == RATIONAL:
                 hat = _hat_base3_exact(col, counter)
             else:
-                hat = _hat_product(col, base, counter, matvec)
+                hat = _hat_product(col, base, counter)
             if m > base:
-                nxt = _subsampled_next(col, hat, base, counter, matvec)
+                nxt = _subsampled_next(col, hat, base, counter)
             else:
                 nxt = [col[0]]
         hats.append(hat)
+        sampled.append(level)
         col = nxt
 
     # Apply the companion matrices to e_1 right to left; the first product
     # is just the shortest companion column itself.
     w = list(hats[-1])
-    size = base
     for j in range(levels - 2, -1, -1):
-        size *= base
+        m = len(hats[j])
         if backend == "naive":
-            w = _matvec_on_spread(hats[j], w, base, size, counter)
+            w = _matvec_on_spread(hats[j], w, base, m, counter)
+        elif sampled[j] is None:
+            spread = [0j] * m
+            spread[::base] = w
+            w = spread
         else:
-            w = matvec(hats[j], series.spread(w, base, 1, size), counter)
+            w = _apply_hat_samples(*sampled[j], w, base, counter)
     x = w if a0 == 1 else [v / a0 for v in w]
+    if field == COMPLEX and not all(map(cmath.isfinite, x)):
+        raise OverflowError("the inverse's first column leaves the double range")
     trace = SolveTrace(base=base, levels=levels, hat_columns=hats, mult_count=counter.mults - start)
     return x, trace
 
@@ -281,14 +404,18 @@ def ltt_solve_fast(a, f, base: int, matvec_backend: str = "auto", with_trace: bo
     """Solve L(a) x = f: invert the first column, then one l.t.T. product.
 
     With ``with_trace`` the returned pair carries a SolveTrace whose count
-    includes the final product.
+    includes the final product. NaN or infinite entries in the column or the
+    right-hand side raise ValueError.
     """
     if len(f) != len(a):
         raise ValueError(f"length mismatch: column {len(a)}, rhs {len(f)}")
+    _require_finite(f, "rhs")
     ops = OpCounter()
     inv_col, trace = invert_first_column(a, base, matvec_backend, ops)
-    backend = _resolve_backend(field_of(a), matvec_backend)
-    x = _matvec_for(backend, base)(inv_col, list(f), ops)
+    if _resolve_backend(field_of(a), matvec_backend) == "fft":
+        x = fft.ltt_matvec_fft(inv_col, list(f), base, ops)
+    else:
+        x = series.ltt_matvec_naive(inv_col, list(f), ops)
     if with_trace:
         return x, replace(trace, mult_count=ops.mults)
     return x

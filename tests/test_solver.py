@@ -159,6 +159,13 @@ def test_invert_skips_presparsified_level():
     dense = _rat_column(rng, n)
     _, dense_trace = invert_first_column(dense, 3)
     assert trace.mult_count < dense_trace.mult_count
+    # the transform-domain assembly spreads the vector through a skipped level
+    ac = [complex(v) for v in a]
+    x_fft, trace_fft = invert_first_column(ac, 3, matvec_backend="fft")
+    assert trace_fft.hat_columns[0] == _e1(n)
+    assert max_rel_err(x_fft, x) < 1e-12
+    _, dense_fft = invert_first_column([complex(v) for v in dense], 3, matvec_backend="fft")
+    assert trace_fft.mult_count < dense_fft.mult_count
 
 
 def test_invert_normalizes_leading_coefficient():
@@ -198,14 +205,17 @@ def test_invert_complex_fft_backend_accuracy():
         ref = ltt_solve_forward(a, [1 + 0j] + [0j] * (n - 1))
         assert max_rel_err(x, ref) < 1e-8
         assert trace.mult_count > 0
+        assert [len(h) for h in trace.hat_columns] == [n // base**j for j in range(trace.levels)]
+        assert max_rel_err(trace.hat_columns[0], sparsify_hat(a, base)) < 1e-12
 
 
 def test_invert_complex_naive_backend():
     rng = random.Random(107)
-    a = _cx_column(rng, 27)
-    x_fft, _ = invert_first_column(a, 3, matvec_backend="fft")
-    x_naive, _ = invert_first_column(a, 3, matvec_backend="naive")
-    assert max_rel_err(x_fft, x_naive) < 1e-9
+    for base, n in ((3, 27), (2, 32), (4, 64), (5, 125)):
+        a = _cx_column(rng, n)
+        x_fft, _ = invert_first_column(a, base, matvec_backend="fft")
+        x_naive, _ = invert_first_column(a, base, matvec_backend="naive")
+        assert max_rel_err(x_fft, x_naive) < 1e-9, (base, n)
 
 
 def test_invert_complex_large_well_scaled():
@@ -232,9 +242,9 @@ def test_invert_trivial_order_one():
 
 def test_complexity_growth_bound():
     rng = random.Random(109)
-    for base in (2, 3):
+    for base, ks in ((2, range(3, 8)), (3, range(3, 8)), (5, range(2, 6))):
         counts = []
-        for k in range(3, 8):
+        for k in ks:
             n = base**k
             _, trace = invert_first_column(_cx_column(rng, n), base)
             counts.append(trace.mult_count)
@@ -265,6 +275,29 @@ def test_solve_fast_trace_includes_final_product():
     _, trace_inv = invert_first_column(a, 2)
     _, trace_full = ltt_solve_fast(a, _e1(4), 2, with_trace=True)
     assert trace_full.mult_count > trace_inv.mult_count
+
+
+def test_solve_fast_rejects_non_finite_entries():
+    n = 8
+    a = [1 + 0j] + [0.5**k + 0j for k in range(1, n)]
+    f = [1 + 0j] * n
+    for backend in ("fft", "naive"):
+        bad_col = list(a)
+        bad_col[3] = complex(float("nan"), 0.0)
+        with pytest.raises(ValueError):
+            invert_first_column(bad_col, 2, matvec_backend=backend)
+        with pytest.raises(ValueError):
+            ltt_solve_fast(bad_col, f, 2, matvec_backend=backend)
+        bad_col[3] = complex(0.0, float("inf"))
+        with pytest.raises(ValueError):
+            ltt_solve_fast(bad_col, f, 2, matvec_backend=backend)
+        bad_rhs = list(f)
+        bad_rhs[5] = complex(float("-inf"), 0.0)
+        with pytest.raises(ValueError):
+            ltt_solve_fast(a, bad_rhs, 2, matvec_backend=backend)
+        # finite entries whose inverse column is out of range: 1e200**2 overflows
+        with pytest.raises(OverflowError):
+            invert_first_column([1 + 0j, -1e200, 0j, 0j], 2, matvec_backend=backend)
 
 
 def test_solve_fast_rejects_fft_on_rationals():
