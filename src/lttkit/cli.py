@@ -2,12 +2,13 @@
 a desk-scale selftest, and an operation-count benchmark.
 
 Exit codes: 0 success, 1 selftest failure, 2 usage or shape problem,
-3 numerically singular input.
+3 numerically singular input or a solution outside the double range.
 """
 
 from __future__ import annotations
 
 import argparse
+import cmath
 import json
 import random
 import sys
@@ -26,12 +27,6 @@ def _emit(text: str, out_path: str | None) -> None:
             fh.write(text)
     else:
         sys.stdout.write(text)
-
-
-def _vector_text(values, field: str) -> str:
-    lines = [f"# n={len(values)} field={field}"]
-    lines.extend(scalars.format_scalar(v) for v in values)
-    return "\n".join(lines) + "\n"
 
 
 def _load_vector(path: str, field: str | None):
@@ -85,7 +80,9 @@ def cmd_solve(args) -> int:
         x, trace = solver.ltt_solve_fast(coeffs, rhs, args.base, args.impl, with_trace=True)
     else:
         x = solver.ltt_solve_fast(coeffs, rhs, args.base, args.impl)
-    _emit(_vector_text(x, field), args.out)
+    if field == scalars.COMPLEX and not all(map(cmath.isfinite, x)):
+        raise OverflowError("the solution leaves the double range")
+    _emit(series.format_vector(x, field), args.out)
     if trace is not None:
         sys.stdout.write(f"# trace {trace.report()}\n")
     return 0
@@ -119,7 +116,7 @@ def cmd_matvec(args) -> int:
         out = fft.toeplitz_matvec_embed(spec, vec, args.base)
     else:
         out = fft.toeplitz_matvec_split(spec, vec, args.base)
-    _emit(_vector_text(out, field), args.out)
+    _emit(series.format_vector(out, field), args.out)
     return 0
 
 
@@ -371,6 +368,9 @@ def main(argv=None) -> int:
         return args.func(args)
     except SingularMatrixError as exc:
         print(f"error: singular system: {exc}", file=sys.stderr)
+        return 3
+    except OverflowError as exc:
+        print(f"error: {exc}", file=sys.stderr)
         return 3
     except (ValueError, ZeroDivisionError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -96,14 +96,19 @@ def unspread(v, base: int, power: int = 1):
     return list(v[:: base**power])
 
 
-def write_vector(path, values, field: str | None = None) -> None:
-    """Write one scalar per line, preceded by a '# n=<len> field=<field>' header."""
+def format_vector(values, field: str | None = None) -> str:
+    """Vector file text: a '# n=<len> field=<field>' header, then one scalar per line."""
     if field is None:
         field = field_of(values)
     lines = [f"# n={len(values)} field={field}"]
     lines.extend(format_scalar(v) for v in values)
+    return "\n".join(lines) + "\n"
+
+
+def write_vector(path, values, field: str | None = None) -> None:
+    """Write ``values`` to ``path`` in the format_vector form."""
     with open(path, "w", encoding="ascii") as fh:
-        fh.write("\n".join(lines) + "\n")
+        fh.write(format_vector(values, field))
 
 
 def read_vector(path):

@@ -21,7 +21,13 @@ the base-th root of unity, which only exists here in complex arithmetic.
 
 Rational inputs (base 2 and 3) are solved exactly with the quadratic naive
 kernels at shrinking block sizes; the complex ``naive`` backend runs the
-same kernels in floating point and serves as the reference.
+same kernels in floating point and serves as the reference. There each
+level is one sparsify_step, and each assembly step applies a companion
+column to a vector spread by the base, whose residue class r mod base is
+the naive l.t.T. product of hat[r::base] with the vector. A column that is
+already zero off the multiples of the base skips its level on both
+backends: its companion column is e_1, and its assembly step is a pure
+spread with no multiplication.
 
 The complex ``fft`` backend (the default) runs each level in the transform
 domain, as one Graeffe root-squaring step: the next column holds the
@@ -52,7 +58,7 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass, replace
-from operator import mul
+from fractions import Fraction
 
 from . import fft, series
 from .opcount import OpCounter
@@ -205,7 +211,7 @@ def sparsify_step(a, base: int, ops: OpCounter | None = None) -> SparsifyResult:
     if len(a) % base:
         raise ValueError(f"length {len(a)} not divisible by base {base}")
     hat = sparsify_hat(a, base, ops)
-    nxt = _subsampled_next(a, hat, base, ops)
+    nxt = [a[0]] if len(a) == base else _subsampled_next(a, hat, base, ops)
     return SparsifyResult(hat=hat, next=nxt)
 
 
@@ -213,15 +219,11 @@ def _already_sparse(col, base):
     return not any(col[i] for i in range(1, len(col)) if i % base)
 
 
-def _matvec_on_spread(col, w, base, out_len, ops):
-    # L(col) applied to the vector with w[j] at index base*j, zeros elsewhere
-    out = []
-    mults = 0
-    for i in range(out_len):
-        out.append(sum(map(mul, col[i::-base], w)))
-        mults += i // base + 1
-    if ops is not None:
-        ops.add(mults)
+def _apply_hat(hat, w, base, ops):
+    """L(hat) applied to w spread by base: residue class r is L(hat[r::base]) w."""
+    out = [None] * len(hat)
+    for r in range(base):
+        out[r::base] = series.ltt_matvec_naive(hat[r::base], w, ops)
     return out
 
 
@@ -334,10 +336,7 @@ def invert_first_column(a, base: int, matvec_backend: str = "auto", ops: OpCount
     A column whose off-multiple entries are already zero skips its
     nullification level, the shorter column is read off directly.
     """
-    n = len(a)
-    levels = fft._check_power(n, base)
-    if not a:
-        raise ValueError("empty column")
+    levels = fft._check_power(len(a), base)
     a0 = a[0]
     if a0 == 0:
         raise SingularMatrixError("leading coefficient is zero")
@@ -348,51 +347,42 @@ def invert_first_column(a, base: int, matvec_backend: str = "auto", ops: OpCount
     _require_finite(a, "column")
     counter = ops if ops is not None else OpCounter()
     start = counter.mults
-    col = list(a) if a0 == 1 else [v / a0 for v in a]
-    if levels == 0:
-        trace = SolveTrace(base=base, levels=0, hat_columns=[], mult_count=0)
-        return [col[0] if a0 == 1 else col[0] / a0], trace
+    one, zero = (Fraction(1), Fraction(0)) if field == RATIONAL else (1 + 0j, 0j)
+    if field == RATIONAL:
+        a0 = Fraction(a0)  # an int column normalizes exactly too
+    # a0 / a0 can round off 1 in complex arithmetic, so the head is set exactly
+    col = list(a) if a0 == 1 else [one] + [v / a0 for v in a[1:]]
 
     hats = []
-    sampled = []  # fft backend: each level's (H, s), None where skipped
+    steps = []  # per level: the companion column (naive) or its samples (H, s) (fft), None if skipped
     for _ in range(levels):
         m = len(col)
-        level = None
         if _already_sparse(col, base):
-            hat = [col[0]] + [0] * (m - 1)
-            nxt = col[::base]
+            hat, nxt, step = [col[0]] + [zero] * (m - 1), col[::base], None
         elif backend == "fft":
             h, s, nxt = _graeffe_level(col, base, counter)
             hat = _hat_base2(col) if base == 2 else _hat_from_samples(h, s, m, base, counter)
-            level = (h, s)
+            step = (h, s)
         else:
-            if base == 2:
-                hat = _hat_base2(col)
-            elif field == RATIONAL:
-                hat = _hat_base3_exact(col, counter)
-            else:
-                hat = _hat_product(col, base, counter)
-            if m > base:
-                nxt = _subsampled_next(col, hat, base, counter)
-            else:
-                nxt = [col[0]]
+            level = sparsify_step(col, base, counter)
+            hat, nxt, step = level.hat, level.next, level.hat
         hats.append(hat)
-        sampled.append(level)
+        steps.append(step)
         col = nxt
 
     # Apply the companion matrices to e_1 right to left; the first product
-    # is just the shortest companion column itself.
-    w = list(hats[-1])
-    for j in range(levels - 2, -1, -1):
-        m = len(hats[j])
-        if backend == "naive":
-            w = _matvec_on_spread(hats[j], w, base, m, counter)
-        elif sampled[j] is None:
-            spread = [0j] * m
+    # is just the shortest companion column itself, a skipped level is a
+    # pure spread.
+    w = list(hats[-1] if hats else col)
+    for step in steps[-2::-1]:
+        if step is None:
+            spread = [zero] * (base * len(w))
             spread[::base] = w
             w = spread
+        elif backend == "fft":
+            w = _apply_hat_samples(*step, w, base, counter)
         else:
-            w = _apply_hat_samples(*sampled[j], w, base, counter)
+            w = _apply_hat(step, w, base, counter)
     x = w if a0 == 1 else [v / a0 for v in w]
     if field == COMPLEX and not all(map(cmath.isfinite, x)):
         raise OverflowError("the inverse's first column leaves the double range")

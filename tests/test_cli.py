@@ -121,6 +121,17 @@ def test_solve_singular_exits_three(tmp_path, capsys):
     assert "singular" in err
 
 
+def test_solve_out_of_range_exits_three(tmp_path, capsys):
+    coeffs = tmp_path / "a.txt"
+    rhs = tmp_path / "f.txt"
+    write_vector(coeffs, [1 + 0j, -1e200 + 0j, 0j, 0j])
+    write_vector(rhs, [1 + 0j, 0j, 0j, 0j])
+    for solver in ("forward", "fast"):
+        code, out, err = run(capsys, "solve", "--coeffs", str(coeffs), "--rhs", str(rhs), "--solver", solver)
+        assert code == 3, solver
+        assert out == "" and err.startswith("error: ") and "Traceback" not in err
+
+
 def test_solve_shape_mismatch_exits_two(tmp_path, capsys):
     coeffs = tmp_path / "a.txt"
     rhs = tmp_path / "f.txt"

@@ -117,6 +117,12 @@ def test_sparsify_step_examples():
     res = sparsify_step(e1, 2)
     assert res.hat == e1 and res.next == _e1(3)
 
+    # a length-base column shrinks to [1] with no product
+    for base in (2, 3):
+        res = sparsify_step(a[:base], base)
+        assert res.next == [1]
+        assert res.hat == sparsify_hat(a[:base], base)
+
 
 def test_sparsify_step_length_check():
     with pytest.raises(ValueError):
@@ -143,29 +149,34 @@ def test_invert_matches_forward_oracle_exactly():
                 assert x == ltt_solve_forward(a, _e1(n))
                 assert trace.levels == len(trace.hat_columns)
                 assert [len(h) for h in trace.hat_columns] == [n // base**j for j in range(trace.levels)]
+                chain, col = [], a
+                for _ in range(trace.levels):
+                    res = sparsify_step(col, base)
+                    chain.append(res.hat)
+                    col = res.next
+                assert trace.hat_columns == chain
 
 
 def test_invert_skips_presparsified_level():
-    # a column already zero off multiples of 3 costs no first-level work
+    # a column already zero off multiples of the base costs no first-level
+    # work on either backend: it solves like its subsampled column, spread
     rng = random.Random(89)
-    n = 27
-    a = [Fraction(0)] * n
-    a[0] = Fraction(1)
-    for i in range(3, n, 3):
-        a[i] = Fraction(rng.randint(-5, 5), rng.randint(1, 5))
-    x, trace = invert_first_column(a, 3)
-    assert x == ltt_solve_forward(a, _e1(n))
-    assert trace.hat_columns[0] == _e1(n)
-    dense = _rat_column(rng, n)
-    _, dense_trace = invert_first_column(dense, 3)
-    assert trace.mult_count < dense_trace.mult_count
-    # the transform-domain assembly spreads the vector through a skipped level
-    ac = [complex(v) for v in a]
-    x_fft, trace_fft = invert_first_column(ac, 3, matvec_backend="fft")
-    assert trace_fft.hat_columns[0] == _e1(n)
-    assert max_rel_err(x_fft, x) < 1e-12
-    _, dense_fft = invert_first_column([complex(v) for v in dense], 3, matvec_backend="fft")
-    assert trace_fft.mult_count < dense_fft.mult_count
+    for base, n in ((3, 27), (2, 64)):
+        a = [Fraction(0)] * n
+        a[0] = Fraction(1)
+        for i in range(base, n, base):
+            a[i] = Fraction(rng.randint(-5, 5), rng.randint(1, 5))
+        ac = [complex(v) for v in a]
+        for col, backend in ((a, "naive"), (ac, "naive"), (ac, "fft")):
+            x, trace = invert_first_column(col, base, matvec_backend=backend)
+            x_short, short_trace = invert_first_column(col[::base], base, matvec_backend=backend)
+            assert trace.hat_columns[0] == _e1(n)
+            assert trace.mult_count == short_trace.mult_count, (base, backend)
+            assert x == spread(x_short, base, 1, n), (base, backend)
+        x, _ = invert_first_column(a, base)
+        assert x == ltt_solve_forward(a, _e1(n))
+        x_fft, _ = invert_first_column(ac, base, matvec_backend="fft")
+        assert max_rel_err(x_fft, x) < 1e-12
 
 
 def test_invert_normalizes_leading_coefficient():
@@ -173,6 +184,17 @@ def test_invert_normalizes_leading_coefficient():
     a = [Fraction(5, 2)] + _rat_column(rng, 8)[1:]
     x, _ = invert_first_column(a, 2)
     assert x == ltt_solve_forward(a, _e1(8))
+    # an int column stays exact, and a complex head whose a0 / a0 is not
+    # exactly 1 still runs the naive levels
+    ints = [2, 1, -1, 3, 0, 1, 2, -2, 1]
+    x, _ = invert_first_column(ints, 3)
+    assert all(isinstance(v, Fraction) for v in x)
+    assert x == ltt_solve_forward([Fraction(v) for v in ints], _e1(9))
+    ac = [-2.71 + 4.45j] + _cx_column(rng, 27)[1:]
+    ref = ltt_solve_forward(ac, [1 + 0j] + [0j] * 26)
+    for backend in ("naive", "fft"):
+        x, _ = invert_first_column(ac, 3, matvec_backend=backend)
+        assert max_rel_err(x, ref) < 1e-12
 
 
 def test_invert_errors():
