@@ -2,7 +2,8 @@
 a desk-scale selftest, and an operation-count benchmark.
 
 Exit codes: 0 success, 1 selftest failure, 2 usage or shape problem,
-3 numerically singular input or a solution outside the double range.
+3 numerically singular input, or a solve or matvec result outside the
+double range.
 """
 
 from __future__ import annotations
@@ -29,13 +30,26 @@ def _emit(text: str, out_path: str | None) -> None:
         sys.stdout.write(text)
 
 
-def _load_vector(path: str, field: str | None):
-    values, file_field = series.read_vector(path)
-    if field is None or field == file_field:
-        return values, file_field
-    if field == scalars.COMPLEX:
-        return [complex(v) for v in values], field
-    raise ValueError(f"{path} holds complex values, cannot reinterpret as rational")
+def _load_vectors(paths, field: str | None):
+    """Read vector files as operands of one field, returning (lists, field).
+
+    Any complex file, or ``field`` complex, makes every operand complex. A
+    complex file cannot be read as rational.
+    """
+    read = [series.read_vector(path) for path in paths]
+    complex_paths = [path for path, (_, file_field) in zip(paths, read) if file_field == scalars.COMPLEX]
+    if field == scalars.RATIONAL and complex_paths:
+        raise ValueError(f"{complex_paths[0]} holds complex values, cannot reinterpret as rational")
+    if field == scalars.COMPLEX or complex_paths:
+        return [[complex(v) for v in values] for values, _ in read], scalars.COMPLEX
+    return [values for values, _ in read], scalars.RATIONAL
+
+
+def _emit_vector(values, field: str, out_path: str | None) -> None:
+    """Write a result vector; a complex one outside the double range is refused."""
+    if field == scalars.COMPLEX and not all(map(cmath.isfinite, values)):
+        raise OverflowError("the result leaves the double range")
+    _emit(series.format_vector(values, field), out_path)
 
 
 # ---------------------------------------------------------------- bernoulli
@@ -62,14 +76,7 @@ def cmd_bernoulli(args) -> int:
 
 
 def cmd_solve(args) -> int:
-    coeffs, cfield = _load_vector(args.coeffs, args.field)
-    rhs, rfield = _load_vector(args.rhs, args.field)
-    if cfield != rfield:
-        field = scalars.COMPLEX
-        coeffs = [complex(v) for v in coeffs]
-        rhs = [complex(v) for v in rhs]
-    else:
-        field = cfield
+    (coeffs, rhs), field = _load_vectors((args.coeffs, args.rhs), args.field)
     if len(coeffs) != len(rhs):
         raise ValueError(f"coefficient length {len(coeffs)} != rhs length {len(rhs)}")
 
@@ -77,12 +84,10 @@ def cmd_solve(args) -> int:
     if args.solver == "forward":
         x = series.ltt_solve_forward(coeffs, rhs)
     elif args.trace:
-        x, trace = solver.ltt_solve_fast(coeffs, rhs, args.base, args.impl, with_trace=True)
+        x, trace = solver.ltt_solve_fast(coeffs, rhs, args.base, with_trace=True)
     else:
-        x = solver.ltt_solve_fast(coeffs, rhs, args.base, args.impl)
-    if field == scalars.COMPLEX and not all(map(cmath.isfinite, x)):
-        raise OverflowError("the solution leaves the double range")
-    _emit(series.format_vector(x, field), args.out)
+        x = solver.ltt_solve_fast(coeffs, rhs, args.base)
+    _emit_vector(x, field, args.out)
     if trace is not None:
         sys.stdout.write(f"# trace {trace.report()}\n")
     return 0
@@ -92,13 +97,7 @@ def cmd_solve(args) -> int:
 
 
 def cmd_matvec(args) -> int:
-    coeffs, cfield = _load_vector(args.coeffs, args.field)
-    vec, vfield = _load_vector(args.vec, args.field)
-    field = scalars.COMPLEX if scalars.COMPLEX in (cfield, vfield) else scalars.RATIONAL
-    if field == scalars.COMPLEX:
-        coeffs = [complex(v) for v in coeffs]
-        vec = [complex(v) for v in vec]
-
+    (coeffs, vec), field = _load_vectors((args.coeffs, args.vec), args.field)
     if args.type == "ltt":
         spec = fft.ToeplitzSpec.from_lower_column(coeffs)
     else:
@@ -116,7 +115,7 @@ def cmd_matvec(args) -> int:
         out = fft.toeplitz_matvec_embed(spec, vec, args.base)
     else:
         out = fft.toeplitz_matvec_split(spec, vec, args.base)
-    _emit(series.format_vector(out, field), args.out)
+    _emit_vector(out, field, args.out)
     return 0
 
 
@@ -166,8 +165,6 @@ def _suite_series() -> int:
 
 
 def _suite_fft() -> int:
-    import cmath
-
     n = 0
     rng = random.Random(202)
     for size, base in ((8, 2), (16, 2), (9, 3), (27, 3)):
@@ -211,7 +208,7 @@ def _suite_solver() -> int:
     xc, _ = solver.invert_first_column(ac, 3)
     ref = series.ltt_solve_forward(ac, [1.0 + 0j] + [0j] * 26)
     scale = max(max(abs(v) for v in ref), 1.0)
-    n += _require(max(abs(p - q) for p, q in zip(xc, ref)) / scale < 1e-9, "fft backend")
+    n += _require(max(abs(p - q) for p, q in zip(xc, ref)) / scale < 1e-9, "complex invert")
     return n
 
 
@@ -301,7 +298,7 @@ def cmd_bench(args) -> int:
         else:
             a = [1.0 + 0j] + [complex(rng.uniform(-0.3, 0.3), rng.uniform(-0.3, 0.3)) for _ in range(n - 1)]
             t0 = time.perf_counter()
-            solver.invert_first_column(a, args.base, "fft", ops)
+            solver.invert_first_column(a, args.base, ops=ops)
             elapsed = time.perf_counter() - t0
         ratio = ops.mults / (n * levels) if levels else float("nan")
         rows.append(f"{n:>8} {elapsed:>10.4f} {ops.mults:>14} {ratio:>18.2f}")
@@ -335,7 +332,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--base", type=int, default=2)
     p.add_argument("--field", choices=(scalars.RATIONAL, scalars.COMPLEX), default=None)
     p.add_argument("--solver", choices=("forward", "fast"), default="forward")
-    p.add_argument("--impl", choices=("auto", "naive", "fft"), default="auto")
     p.add_argument("--trace", action="store_true")
     p.add_argument("--out")
     p.set_defaults(func=cmd_solve)

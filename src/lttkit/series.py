@@ -13,6 +13,7 @@ package.
 
 from __future__ import annotations
 
+from fractions import Fraction
 from operator import mul
 
 from .opcount import OpCounter
@@ -50,8 +51,9 @@ ltt_compose = ltt_matvec_naive
 def ltt_solve_forward(a, f):
     """Solve the l.t.T. system with first column ``a`` by forward substitution.
 
-    Exact over rationals, O(n^2). The quadratic oracle against which the
-    fast solver is checked.
+    Exact over rationals, O(n^2), including an int column whose leading
+    coefficient is not 1. The quadratic oracle against which the fast solver
+    is checked.
     """
     n = len(a)
     if len(f) != n:
@@ -61,6 +63,8 @@ def ltt_solve_forward(a, f):
     a0 = a[0]
     if a0 == 0:
         raise SingularMatrixError("leading coefficient is zero")
+    if isinstance(a0, int):
+        a0 = Fraction(a0)  # int / int would give floats
     ar = a[::-1]
     x = []
     for i in range(n):

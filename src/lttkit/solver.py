@@ -19,29 +19,30 @@ an exact integer-coefficient closed form for base 3, and for larger bases is
 the truncated product of the rotations a(z*t), ..., a(z*t**(base-1)) with t
 the base-th root of unity, which only exists here in complex arithmetic.
 
-Rational inputs (base 2 and 3) are solved exactly with the quadratic naive
-kernels at shrinking block sizes; the complex ``naive`` backend runs the
-same kernels in floating point and serves as the reference. There each
-level is one sparsify_step, and each assembly step applies a companion
+The scalar field picks the kernels. Rational inputs (base 2 and 3) are
+solved exactly with the quadratic naive kernels at shrinking block sizes:
+each level is one sparsify_step, and each assembly step applies a companion
 column to a vector spread by the base, whose residue class r mod base is
 the naive l.t.T. product of hat[r::base] with the vector. A column that is
-already zero off the multiples of the base skips its level on both
-backends: its companion column is e_1, and its assembly step is a pure
-spread with no multiplication.
+already zero off the multiples of the base skips its level in either field:
+its companion column is e_1, and its assembly step is a pure spread with no
+multiplication.
 
-The complex ``fft`` backend (the default) runs each level in the transform
-domain, as one Graeffe root-squaring step: the next column holds the
-z**base coefficients of a(z) a(t z) ... a(t**(base-1) z). With N = base*m,
-one length-N transform A of the zero-padded column gives every rotation
-a(t**i z) as the cyclic shift of A by i*m. The companion column's samples H
-are the product of the shifts i = 1..base-1 (a plain shift for base 2), and
-one length-m inverse transform of the first m products A*H yields the next
-column. H is kept for the second sweep, where each step is one length-m
-transform of the vector and one length-N inverse transform of its product
-with H. So a level costs two transforms in each sweep, plus one length-N
-inverse transform that writes out the companion column for base >= 3.
+Complex inputs run each level in the transform domain, as one Graeffe
+root-squaring step: the next column holds the z**base coefficients of
+a(z) a(t z) ... a(t**(base-1) z). With N = base*m, one length-N transform
+A of the zero-padded column gives every rotation a(t**i z) as the cyclic
+shift of A by i*m. The companion column's samples H are the product of
+the shifts i = 1..base-1 (a plain shift for base 2), and one length-m
+inverse transform of the first m products A*H yields the next column. H
+is kept for the second sweep, where each step is one length-m transform of
+the vector and one length-N inverse transform of its product with H. So a
+level costs two transforms in each sweep, plus one length-N inverse
+transform that writes out the companion column for base >= 3.
 SolveTrace counts every transform multiplication and pointwise product,
-O(n log n) in total.
+O(n log n) in total. sparsify_hat and sparsify_step also take complex
+columns, at any base; they compute one level with the naive kernels and
+are the reference the transform-domain level is checked against.
 
 The companion columns are built from products of the input column with
 itself, so their dynamic range roughly squares at every level. Exact
@@ -73,8 +74,6 @@ __all__ = [
     "invert_first_column",
     "ltt_solve_fast",
 ]
-
-_BACKENDS = ("auto", "naive", "fft")
 
 
 @dataclass(frozen=True)
@@ -152,16 +151,6 @@ def _hat_product(a, base, ops):
             ops.add(2 * (n - 1))  # rotation scalings and the power ladder
         out = rot if out is None else series.ltt_matvec_naive(out, rot, ops)
     return out
-
-
-def _resolve_backend(field: str, matvec_backend: str) -> str:
-    if matvec_backend not in _BACKENDS:
-        raise ValueError(f"unknown matvec backend: {matvec_backend!r}")
-    if matvec_backend == "auto":
-        return "fft" if field == COMPLEX else "naive"
-    if matvec_backend == "fft" and field == RATIONAL:
-        raise ValueError("fft backend works on complex scalars only")
-    return matvec_backend
 
 
 def sparsify_hat(a, base: int, ops: OpCounter | None = None):
@@ -324,14 +313,14 @@ def _require_finite(values, name):
             raise ValueError(f"non-finite {name} entry at index {i}: {v!r}")
 
 
-def invert_first_column(a, base: int, matvec_backend: str = "auto", ops: OpCounter | None = None):
+def invert_first_column(a, base: int, ops: OpCounter | None = None):
     """First column of the inverse of the n x n l.t.T. matrix built on ``a``.
 
     n must be a power of ``base``. Returns (x, SolveTrace). Exact over
-    rationals (bases 2 and 3); with complex scalars the default backend runs
-    every level and every assembly step in the transform domain. NaN or
-    infinite entries raise ValueError; a complex inverse column that leaves
-    the double range raises OverflowError.
+    rationals (bases 2 and 3) with the naive kernels; a complex column runs
+    every level and every assembly step in the transform domain, at any
+    base. NaN or infinite entries raise ValueError; a complex inverse column
+    that leaves the double range raises OverflowError.
 
     A column whose off-multiple entries are already zero skips its
     nullification level, the shorter column is read off directly.
@@ -341,7 +330,6 @@ def invert_first_column(a, base: int, matvec_backend: str = "auto", ops: OpCount
     if a0 == 0:
         raise SingularMatrixError("leading coefficient is zero")
     field = field_of(a)
-    backend = _resolve_backend(field, matvec_backend)
     if field == RATIONAL and base > 3:
         raise ValueError(f"no exact companion form for base {base}; use complex scalars")
     _require_finite(a, "column")
@@ -354,12 +342,12 @@ def invert_first_column(a, base: int, matvec_backend: str = "auto", ops: OpCount
     col = list(a) if a0 == 1 else [one] + [v / a0 for v in a[1:]]
 
     hats = []
-    steps = []  # per level: the companion column (naive) or its samples (H, s) (fft), None if skipped
+    steps = []  # per level: the companion column (rational) or its samples (H, s) (complex), None if skipped
     for _ in range(levels):
         m = len(col)
         if _already_sparse(col, base):
             hat, nxt, step = [col[0]] + [zero] * (m - 1), col[::base], None
-        elif backend == "fft":
+        elif field == COMPLEX:
             h, s, nxt = _graeffe_level(col, base, counter)
             hat = _hat_base2(col) if base == 2 else _hat_from_samples(h, s, m, base, counter)
             step = (h, s)
@@ -379,7 +367,7 @@ def invert_first_column(a, base: int, matvec_backend: str = "auto", ops: OpCount
             spread = [zero] * (base * len(w))
             spread[::base] = w
             w = spread
-        elif backend == "fft":
+        elif field == COMPLEX:
             w = _apply_hat_samples(*step, w, base, counter)
         else:
             w = _apply_hat(step, w, base, counter)
@@ -390,19 +378,20 @@ def invert_first_column(a, base: int, matvec_backend: str = "auto", ops: OpCount
     return x, trace
 
 
-def ltt_solve_fast(a, f, base: int, matvec_backend: str = "auto", with_trace: bool = False):
+def ltt_solve_fast(a, f, base: int, with_trace: bool = False):
     """Solve L(a) x = f: invert the first column, then one l.t.T. product.
 
-    With ``with_trace`` the returned pair carries a SolveTrace whose count
-    includes the final product. NaN or infinite entries in the column or the
-    right-hand side raise ValueError.
+    The product runs in the transform domain for a complex column and with
+    the naive kernel for a rational one. With ``with_trace`` the returned
+    pair carries a SolveTrace whose count includes the final product. NaN or
+    infinite entries in the column or the right-hand side raise ValueError.
     """
     if len(f) != len(a):
         raise ValueError(f"length mismatch: column {len(a)}, rhs {len(f)}")
     _require_finite(f, "rhs")
     ops = OpCounter()
-    inv_col, trace = invert_first_column(a, base, matvec_backend, ops)
-    if _resolve_backend(field_of(a), matvec_backend) == "fft":
+    inv_col, trace = invert_first_column(a, base, ops)
+    if field_of(a) == COMPLEX:
         x = fft.ltt_matvec_fft(inv_col, list(f), base, ops)
     else:
         x = series.ltt_matvec_naive(inv_col, list(f), ops)

@@ -6,7 +6,7 @@ import pytest
 from lttkit import bernoulli
 from lttkit.cli import main
 from lttkit.scalars import parse_scalar
-from lttkit.series import read_vector, write_vector
+from lttkit.series import ltt_solve_forward, read_vector, write_vector
 
 
 def run(capsys, *argv):
@@ -132,6 +132,19 @@ def test_solve_out_of_range_exits_three(tmp_path, capsys):
         assert out == "" and err.startswith("error: ") and "Traceback" not in err
 
 
+def test_matvec_out_of_range_exits_three(tmp_path, capsys):
+    coeffs = tmp_path / "a.txt"
+    vec = tmp_path / "v.txt"
+    target = tmp_path / "out.txt"
+    write_vector(coeffs, [1e200 + 0j, 1e200 + 0j])
+    write_vector(vec, [1e200 + 0j, 0j])
+    code, out, err = run(capsys, "matvec", "--coeffs", str(coeffs), "--vec", str(vec))
+    assert code == 3
+    assert out == "" and err.startswith("error: ") and "Traceback" not in err
+    code, out, _ = run(capsys, "matvec", "--coeffs", str(coeffs), "--vec", str(vec), "--out", str(target))
+    assert code == 3 and out == "" and not target.exists()
+
+
 def test_solve_shape_mismatch_exits_two(tmp_path, capsys):
     coeffs = tmp_path / "a.txt"
     rhs = tmp_path / "f.txt"
@@ -149,12 +162,44 @@ def test_solve_complex_fast_fft(tmp_path, capsys):
     code, out, _ = run(
         capsys,
         "solve", "--coeffs", str(coeffs), "--rhs", str(rhs),
-        "--solver", "fast", "--impl", "fft", "--base", "2",
+        "--solver", "fast", "--base", "2",
     )
     assert code == 0
     values = [parse_scalar(ln, "complex") for ln in out.splitlines()[1:]]
     assert abs(values[0] - 1) < 1e-12
     assert abs(values[1] + (0.5 + 0.25j)) < 1e-12
+
+
+def test_solve_field_complex_on_rational_files(tmp_path, capsys):
+    coeffs = tmp_path / "a.txt"
+    rhs = tmp_path / "f.txt"
+    a = [Fraction(v, 4) for v in (4, 2, -1, 8, 0, 1, -4, 3)]
+    f = [Fraction(v, 2) for v in (2, 0, 4, -1, 0, 0, 2, 10)]
+    write_vector(coeffs, a)
+    write_vector(rhs, f)
+    code, out, _ = run(
+        capsys,
+        "solve", "--coeffs", str(coeffs), "--rhs", str(rhs),
+        "--solver", "fast", "--field", "complex", "--base", "2",
+    )
+    assert code == 0
+    lines = out.splitlines()
+    assert lines[0] == "# n=8 field=complex"
+    values = [parse_scalar(ln, "complex") for ln in lines[1:]]
+    ref = ltt_solve_forward(a, f)
+    assert max(abs(p - complex(q)) for p, q in zip(values, ref)) < 1e-9 * max(abs(q) for q in ref)
+
+
+def test_field_rational_on_complex_file_exits_two(tmp_path, capsys):
+    coeffs = tmp_path / "a.txt"
+    rhs = tmp_path / "f.txt"
+    write_vector(coeffs, [1 + 0j, 0.5 + 0.25j])
+    write_vector(rhs, [Fraction(1), Fraction(0)])
+    for command, operand in (("solve", "--rhs"), ("matvec", "--vec")):
+        code, out, err = run(
+            capsys, command, "--coeffs", str(coeffs), operand, str(rhs), "--field", "rational"
+        )
+        assert code == 2 and out == "" and str(coeffs) in err, command
 
 
 def test_matvec_ltt_naive(tmp_path, capsys):

@@ -64,6 +64,10 @@ def test_solve_forward_scales_by_head():
         Fraction(1),
         Fraction(-2),
     ]
+    # an int head divides exactly; floats would compare equal, so check types
+    x = ltt_solve_forward([2, 1, 0], [1, 0, 0])
+    assert x == [Fraction(1, 2), Fraction(-1, 4), Fraction(1, 8)]
+    assert all(isinstance(v, Fraction) for v in x)
 
 
 def test_spread_examples():

@@ -159,7 +159,7 @@ def test_invert_matches_forward_oracle_exactly():
 
 def test_invert_skips_presparsified_level():
     # a column already zero off multiples of the base costs no first-level
-    # work on either backend: it solves like its subsampled column, spread
+    # work in either field: it solves like its subsampled column, spread
     rng = random.Random(89)
     for base, n in ((3, 27), (2, 64)):
         a = [Fraction(0)] * n
@@ -167,16 +167,16 @@ def test_invert_skips_presparsified_level():
         for i in range(base, n, base):
             a[i] = Fraction(rng.randint(-5, 5), rng.randint(1, 5))
         ac = [complex(v) for v in a]
-        for col, backend in ((a, "naive"), (ac, "naive"), (ac, "fft")):
-            x, trace = invert_first_column(col, base, matvec_backend=backend)
-            x_short, short_trace = invert_first_column(col[::base], base, matvec_backend=backend)
+        for col in (a, ac):
+            x, trace = invert_first_column(col, base)
+            x_short, short_trace = invert_first_column(col[::base], base)
             assert trace.hat_columns[0] == _e1(n)
-            assert trace.mult_count == short_trace.mult_count, (base, backend)
-            assert x == spread(x_short, base, 1, n), (base, backend)
+            assert trace.mult_count == short_trace.mult_count, (base, col[0])
+            assert x == spread(x_short, base, 1, n), (base, col[0])
         x, _ = invert_first_column(a, base)
         assert x == ltt_solve_forward(a, _e1(n))
-        x_fft, _ = invert_first_column(ac, base, matvec_backend="fft")
-        assert max_rel_err(x_fft, x) < 1e-12
+        x_complex, _ = invert_first_column(ac, base)
+        assert max_rel_err(x_complex, x) < 1e-12
 
 
 def test_invert_normalizes_leading_coefficient():
@@ -185,16 +185,15 @@ def test_invert_normalizes_leading_coefficient():
     x, _ = invert_first_column(a, 2)
     assert x == ltt_solve_forward(a, _e1(8))
     # an int column stays exact, and a complex head whose a0 / a0 is not
-    # exactly 1 still runs the naive levels
+    # exactly 1 still solves accurately
     ints = [2, 1, -1, 3, 0, 1, 2, -2, 1]
     x, _ = invert_first_column(ints, 3)
     assert all(isinstance(v, Fraction) for v in x)
     assert x == ltt_solve_forward([Fraction(v) for v in ints], _e1(9))
     ac = [-2.71 + 4.45j] + _cx_column(rng, 27)[1:]
     ref = ltt_solve_forward(ac, [1 + 0j] + [0j] * 26)
-    for backend in ("naive", "fft"):
-        x, _ = invert_first_column(ac, 3, matvec_backend=backend)
-        assert max_rel_err(x, ref) < 1e-12
+    x, _ = invert_first_column(ac, 3)
+    assert max_rel_err(x, ref) < 1e-12
 
 
 def test_invert_errors():
@@ -202,8 +201,6 @@ def test_invert_errors():
         invert_first_column([Fraction(0), Fraction(1)], 2)
     with pytest.raises(ValueError):
         invert_first_column(_e1(6), 2)
-    with pytest.raises(ValueError):
-        invert_first_column(_e1(8), 2, matvec_backend="fft")  # rational scalars
 
 
 def test_invert_telescopes_to_identity():
@@ -232,12 +229,13 @@ def test_invert_complex_fft_backend_accuracy():
 
 
 def test_invert_complex_naive_backend():
+    # flat 0.35-scaled columns, checked against forward substitution
     rng = random.Random(107)
     for base, n in ((3, 27), (2, 32), (4, 64), (5, 125)):
         a = _cx_column(rng, n)
-        x_fft, _ = invert_first_column(a, base, matvec_backend="fft")
-        x_naive, _ = invert_first_column(a, base, matvec_backend="naive")
-        assert max_rel_err(x_fft, x_naive) < 1e-9, (base, n)
+        x, _ = invert_first_column(a, base)
+        ref = ltt_solve_forward(a, [1 + 0j] + [0j] * (n - 1))
+        assert max_rel_err(x, ref) < 1e-9, (base, n)
 
 
 def test_invert_complex_large_well_scaled():
@@ -303,28 +301,22 @@ def test_solve_fast_rejects_non_finite_entries():
     n = 8
     a = [1 + 0j] + [0.5**k + 0j for k in range(1, n)]
     f = [1 + 0j] * n
-    for backend in ("fft", "naive"):
-        bad_col = list(a)
-        bad_col[3] = complex(float("nan"), 0.0)
-        with pytest.raises(ValueError):
-            invert_first_column(bad_col, 2, matvec_backend=backend)
-        with pytest.raises(ValueError):
-            ltt_solve_fast(bad_col, f, 2, matvec_backend=backend)
-        bad_col[3] = complex(0.0, float("inf"))
-        with pytest.raises(ValueError):
-            ltt_solve_fast(bad_col, f, 2, matvec_backend=backend)
-        bad_rhs = list(f)
-        bad_rhs[5] = complex(float("-inf"), 0.0)
-        with pytest.raises(ValueError):
-            ltt_solve_fast(a, bad_rhs, 2, matvec_backend=backend)
-        # finite entries whose inverse column is out of range: 1e200**2 overflows
-        with pytest.raises(OverflowError):
-            invert_first_column([1 + 0j, -1e200, 0j, 0j], 2, matvec_backend=backend)
-
-
-def test_solve_fast_rejects_fft_on_rationals():
+    bad_col = list(a)
+    bad_col[3] = complex(float("nan"), 0.0)
     with pytest.raises(ValueError):
-        ltt_solve_fast(_e1(4), _e1(4), 2, matvec_backend="fft")
+        invert_first_column(bad_col, 2)
+    with pytest.raises(ValueError):
+        ltt_solve_fast(bad_col, f, 2)
+    bad_col[3] = complex(0.0, float("inf"))
+    with pytest.raises(ValueError):
+        ltt_solve_fast(bad_col, f, 2)
+    bad_rhs = list(f)
+    bad_rhs[5] = complex(float("-inf"), 0.0)
+    with pytest.raises(ValueError):
+        ltt_solve_fast(a, bad_rhs, 2)
+    # finite entries whose inverse column is out of range: 1e200**2 overflows
+    with pytest.raises(OverflowError):
+        invert_first_column([1 + 0j, -1e200, 0j, 0j], 2)
 
 
 def test_solve_fast_complex_full_pipeline():
