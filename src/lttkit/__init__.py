@@ -33,7 +33,7 @@ from .fft import (
     toeplitz_matvec_split,
 )
 from .opcount import OpCounter
-from .scalars import Rational, field_of, format_scalar, neg_root, parse_scalar, principal_root
+from .scalars import field_of, format_scalar, neg_root, parse_scalar, principal_root
 from .series import (
     SingularMatrixError,
     ltt_compose,
@@ -59,7 +59,6 @@ __all__ = [
     "BinomialSystem",
     "DftPlan",
     "OpCounter",
-    "Rational",
     "SingularMatrixError",
     "SolveTrace",
     "SparsifyResult",

@@ -112,13 +112,14 @@ class BernoulliSystem:
     q: list
     zscale: list | None = None
 
+    def _scaling(self, length: int) -> list:
+        # the diagonal of the first ``length`` unknowns, shifted one slot for typeII
+        shift = 0 if self.kind == "typeI" else 1
+        return scaling_diag(length + shift, self.x)[shift:]
+
     def rhs(self) -> list:
-        if self.kind == "typeI":
-            return [self.x**i / Fraction(factorial(2 * i)) * self.q[i] for i in range(self.n)]
-        return [
-            self.zscale[i] * self.x ** (i + 1) / Fraction(factorial(2 * i + 2)) * self.q[i]
-            for i in range(self.n)
-        ]
+        zscale = self.zscale or [1] * self.n  # typeI has no z weights
+        return [z * d * q for z, d, q in zip(zscale, self._scaling(self.n), self.q)]
 
     def bernoulli_from_solution(self, y) -> list:
         """Undo the diagonal scaling of the leading len(y) <= n unknowns.
@@ -127,11 +128,8 @@ class BernoulliSystem:
         solution of a padded system unscales exactly. typeII gets B_0 = 1
         prepended.
         """
-        if self.kind == "typeI":
-            return [v * factorial(2 * i) / self.x**i for i, v in enumerate(y)]
-        out = [Fraction(1)]
-        out.extend(v * factorial(2 * i + 2) / self.x ** (i + 1) for i, v in enumerate(y))
-        return out
+        out = [v / s for v, s in zip(y, self._scaling(len(y)))]
+        return out if self.kind == "typeI" else [Fraction(1)] + out
 
 
 @dataclass(frozen=True)
@@ -217,19 +215,17 @@ def _matmul(a, b):
     return out
 
 
-def _weighted_shift(n):
+def _weighted_shift(n, weight):
+    # weight(i) on the subdiagonal entry of row i
     m = _zeros(n)
     for i in range(1, n):
-        m[i][i - 1] = Fraction(i)
+        m[i][i - 1] = Fraction(weight(i))
     return m
 
 
-def _even_weighted_shift(n):
+def _even_weight(i):
     # subdiagonal 1*2, 3*4, 5*6, ...
-    m = _zeros(n)
-    for i in range(1, n):
-        m[i][i - 1] = Fraction((2 * i - 1) * (2 * i))
-    return m
+    return (2 * i - 1) * (2 * i)
 
 
 def _nilpotent_series(coeff, m, n):
@@ -256,7 +252,7 @@ def tartaglia_check(n: int) -> bool:
     if n < 1 or n > 16:
         raise ValueError("check is meant for 1 <= n <= 16")
     pascal = [[Fraction(comb(i, j)) for j in range(n)] for i in range(n)]
-    pascal_series = _nilpotent_series(lambda k: Fraction(1, factorial(k)), _weighted_shift(n), n)
+    pascal_series = _nilpotent_series(lambda k: Fraction(1, factorial(k)), _weighted_shift(n, lambda i: i), n)
     for i in range(n):
         for j in range(i + 1):
             if pascal[i][j] != pascal_series[i][j]:
@@ -266,15 +262,15 @@ def tartaglia_check(n: int) -> bool:
 
     # even matrix needs one extra row before the shift-up
     m = n + 1
-    s = _nilpotent_series(lambda k: Fraction(1, factorial(2 * k + 2)), _even_weighted_shift(m), m)
-    ps = _matmul(_even_weighted_shift(m), s)
+    shift = _weighted_shift(m, _even_weight)
+    ps = _matmul(shift, _nilpotent_series(lambda k: Fraction(1, factorial(2 * k + 2)), shift, m))
     binom_even = binomial_system("even", n)
     for i in range(n):
         row = [ps[i + 1][j] for j in range(i + 1)]
         if row != binom_even.rows[i]:
             return False
 
-    s = _nilpotent_series(lambda k: Fraction(1, factorial(2 * k + 1)), _even_weighted_shift(n), n)
+    s = _nilpotent_series(lambda k: Fraction(1, factorial(2 * k + 1)), _weighted_shift(n, _even_weight), n)
     binom_odd = binomial_system("odd", n)
     for i in range(n):
         row = [(2 * i + 1) * s[i][j] for j in range(i + 1)]
@@ -355,9 +351,12 @@ def bernoulli_numbers(
 
     ``solver`` is "forward" (quadratic substitution) or "fast" (the
     nullification solver; the system is generated at the next power of the
-    base and the solution truncated). The result never depends on x, the
+    base and the solution truncated). ``base`` is 2, 3 or None (3 for the
+    ramanujan family, 2 otherwise). The result never depends on x, the
     scaling cancels exactly.
     """
+    if base not in (None, 2, 3):
+        raise ValueError(f"base must be 2 or 3, got {base!r}")
     if count < 1:
         raise ValueError("count must be >= 1")
     if method not in METHODS:

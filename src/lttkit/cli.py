@@ -31,7 +31,7 @@ def _emit(text: str, out_path: str | None) -> None:
 
 
 def _load_vectors(paths, field: str | None):
-    """Read vector files as operands of one field, returning (lists, field).
+    """Read vector files as the value lists of operands of one field.
 
     Any complex file, or ``field`` complex, makes every operand complex. A
     complex file cannot be read as rational.
@@ -41,15 +41,16 @@ def _load_vectors(paths, field: str | None):
     if field == scalars.RATIONAL and complex_paths:
         raise ValueError(f"{complex_paths[0]} holds complex values, cannot reinterpret as rational")
     if field == scalars.COMPLEX or complex_paths:
-        return [[complex(v) for v in values] for values, _ in read], scalars.COMPLEX
-    return [values for values, _ in read], scalars.RATIONAL
+        return [[complex(v) for v in values] for values, _ in read]
+    return [values for values, _ in read]
 
 
-def _emit_vector(values, field: str, out_path: str | None) -> None:
+def _emit_vector(values, out_path: str | None) -> None:
     """Write a result vector; a complex one outside the double range is refused."""
-    if field == scalars.COMPLEX and not all(map(cmath.isfinite, values)):
+    # never cmath.isfinite on Fractions: converting a huge rational overflows
+    if scalars.field_of(values) == scalars.COMPLEX and not all(map(cmath.isfinite, values)):
         raise OverflowError("the result leaves the double range")
-    _emit(series.format_vector(values, field), out_path)
+    _emit(series.format_vector(values), out_path)
 
 
 # ---------------------------------------------------------------- bernoulli
@@ -76,7 +77,7 @@ def cmd_bernoulli(args) -> int:
 
 
 def cmd_solve(args) -> int:
-    (coeffs, rhs), field = _load_vectors((args.coeffs, args.rhs), args.field)
+    coeffs, rhs = _load_vectors((args.coeffs, args.rhs), args.field)
     if len(coeffs) != len(rhs):
         raise ValueError(f"coefficient length {len(coeffs)} != rhs length {len(rhs)}")
 
@@ -87,7 +88,7 @@ def cmd_solve(args) -> int:
         x, trace = solver.ltt_solve_fast(coeffs, rhs, args.base, with_trace=True)
     else:
         x = solver.ltt_solve_fast(coeffs, rhs, args.base)
-    _emit_vector(x, field, args.out)
+    _emit_vector(x, args.out)
     if trace is not None:
         sys.stdout.write(f"# trace {trace.report()}\n")
     return 0
@@ -97,7 +98,7 @@ def cmd_solve(args) -> int:
 
 
 def cmd_matvec(args) -> int:
-    (coeffs, vec), field = _load_vectors((args.coeffs, args.vec), args.field)
+    coeffs, vec = _load_vectors((args.coeffs, args.vec), args.field)
     if args.type == "ltt":
         spec = fft.ToeplitzSpec.from_lower_column(coeffs)
     else:
@@ -109,13 +110,13 @@ def cmd_matvec(args) -> int:
 
     if args.impl == "naive":
         out = fft.toeplitz_matvec_naive(spec, vec)
-    elif field != scalars.COMPLEX:
+    elif scalars.field_of(vec) != scalars.COMPLEX:
         raise ValueError(f"impl {args.impl!r} works on complex vectors only")
     elif args.impl == "embed":
         out = fft.toeplitz_matvec_embed(spec, vec, args.base)
     else:
         out = fft.toeplitz_matvec_split(spec, vec, args.base)
-    _emit_vector(out, field, args.out)
+    _emit_vector(out, args.out)
     return 0
 
 
@@ -309,6 +310,14 @@ def cmd_bench(args) -> int:
 # --------------------------------------------------------------------- main
 
 
+def _rational_arg(text: str) -> Fraction:
+    # argparse reports only ValueError, TypeError and ArgumentTypeError as usage errors
+    try:
+        return scalars.parse_scalar(text, scalars.RATIONAL)
+    except ZeroDivisionError as exc:
+        raise argparse.ArgumentTypeError(f"zero denominator in {text!r}") from exc
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="lttkit",
@@ -319,9 +328,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("bernoulli", help="print a table of Bernoulli numbers")
     p.add_argument("--count", type=int, required=True)
     p.add_argument("--method", choices=bernoulli.METHODS, default="ltt-ram-I")
-    p.add_argument("--x", type=lambda s: scalars.parse_scalar(s, scalars.RATIONAL), default=Fraction(1))
+    p.add_argument("--x", type=_rational_arg, default=Fraction(1))
     p.add_argument("--solver", choices=("forward", "fast"), default="forward")
-    p.add_argument("--base", type=int, default=None)
+    p.add_argument("--base", type=int, default=None, help="2 or 3")
     p.add_argument("--format", choices=("plain", "csv", "json"), default="plain")
     p.add_argument("--out")
     p.set_defaults(func=cmd_bernoulli)

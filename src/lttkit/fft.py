@@ -246,17 +246,15 @@ def neg_circulant_matvec(first_row, v, base: int | None = None, ops: OpCounter |
     n = len(first_row)
     if len(v) != n:
         raise ValueError(f"length mismatch: row {n}, vector {len(v)}")
-    plan = _resolve_plan(n, base)
     rho = neg_root(n)
     d = [1.0 + 0j]
     for _ in range(n - 1):
         d.append(d[-1] * rho)
-    fa = dft([p * complex(a) for p, a in zip(d, first_row)], plan, ops)
-    u = idft([p.conjugate() * complex(w) for p, w in zip(d, v)], plan, ops)
-    w = dft([p * q for p, q in zip(fa, u)], plan, ops)
+    row = [p * complex(a) for p, a in zip(d, first_row)]
+    w = circulant_matvec(row, [p.conjugate() * complex(u) for p, u in zip(d, v)], base, ops)
     if ops is not None:
-        # rho powers plus four diagonal/pointwise scalings of length n
-        ops.add(5 * n - 1)
+        # rho powers plus three diagonal scalings of length n
+        ops.add(4 * n - 1)
     return [p * q for p, q in zip(d, w)]
 
 

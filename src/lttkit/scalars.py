@@ -21,8 +21,6 @@ import math
 import re
 from fractions import Fraction
 
-Rational = Fraction
-
 RATIONAL = "rational"
 COMPLEX = "complex"
 

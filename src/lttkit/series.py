@@ -100,19 +100,17 @@ def unspread(v, base: int, power: int = 1):
     return list(v[:: base**power])
 
 
-def format_vector(values, field: str | None = None) -> str:
+def format_vector(values) -> str:
     """Vector file text: a '# n=<len> field=<field>' header, then one scalar per line."""
-    if field is None:
-        field = field_of(values)
-    lines = [f"# n={len(values)} field={field}"]
+    lines = [f"# n={len(values)} field={field_of(values)}"]
     lines.extend(format_scalar(v) for v in values)
     return "\n".join(lines) + "\n"
 
 
-def write_vector(path, values, field: str | None = None) -> None:
+def write_vector(path, values) -> None:
     """Write ``values`` to ``path`` in the format_vector form."""
     with open(path, "w", encoding="ascii") as fh:
-        fh.write(format_vector(values, field))
+        fh.write(format_vector(values))
 
 
 def read_vector(path):

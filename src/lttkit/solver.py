@@ -241,7 +241,10 @@ def _level_radius(col, base):
 
 
 def _rescaled(values, r, ops):
-    # values[k] * r**k; r**k raises OverflowError once it leaves the double range
+    # values[k] * r**k; r**k raises OverflowError once it leaves the double range.
+    # r == 1 returns values itself, uncounted: callers write only into fresh lists.
+    if r == 1.0:
+        return values
     ops.add(2 * len(values))
     return [v * r**k for k, v in enumerate(values)]
 
@@ -261,8 +264,7 @@ def _graeffe_level(col, base, ops):
     m = len(col)
     n = base * m
     s = _level_radius(col, base)
-    if s < 1.0:
-        col = _rescaled(col, s, ops)
+    col = _rescaled(col, s, ops)
     samples = fft.dft(col + [0j] * (n - m), fft.plan_for(n, base), ops)
     h = samples[m:] + samples[:m]
     for i in range(2, base):
@@ -273,18 +275,14 @@ def _graeffe_level(col, base, ops):
         return h, s, [1 + 0j]
     g = fft.idft([p * q for p, q in zip(samples[:m], h)], fft.plan_for(m, base), ops)
     ops.add(m)
-    nxt = g[: m // base]
-    if s < 1.0:
-        nxt = _rescaled(nxt, (1 / s) ** base, ops)
+    nxt = _rescaled(g[: m // base], (1 / s) ** base, ops)
     nxt[0] = 1 + 0j
     return h, s, nxt
 
 
 def _hat_from_samples(h, s, m, base, ops):
     """Leading m coefficients of the companion column sampled by h on |z| = s."""
-    hat = fft.idft(h, fft.plan_for(len(h), base), ops)[:m]
-    if s < 1.0:
-        hat = _rescaled(hat, 1 / s, ops)
+    hat = _rescaled(fft.idft(h, fft.plan_for(len(h), base), ops)[:m], 1 / s, ops)
     hat[0] = 1 + 0j
     return hat
 
@@ -299,12 +297,11 @@ def _apply_hat_samples(h, s, w, base, ops):
     """
     n = len(h)
     m = n // base
-    if s < 1.0:
-        w = _rescaled(w, s**base, ops)
+    w = _rescaled(w, s**base, ops)
     ws = fft.dft(w + [0j] * (m - len(w)), fft.plan_for(m, base), ops)
     ops.add(n)
     out = fft.idft([p * q for p, q in zip(h, ws * base)], fft.plan_for(n, base), ops)[:m]
-    return _rescaled(out, 1 / s, ops) if s < 1.0 else out
+    return _rescaled(out, 1 / s, ops)
 
 
 def _require_finite(values, name):

@@ -101,3 +101,25 @@ def product_form_hat3(a):
             s = s + c[r] * d[i - r]
         out.append(s)
     return out
+
+
+def tangent_bernoulli(count):
+    """[B_0, B_2, ..., B_{2(count-1)}] from the tangent numbers, in integers.
+
+    Brent and Harvey, "Fast computation of Bernoulli, Tangent and Secant
+    numbers" (arXiv:1108.0286), Algorithm TangentNumbers: t[k] = T_k for
+    k = 1..count-1 in O(count**2) integer operations, then
+    B_2k = (-1)**(k-1) 2k T_k / (4**k (4**k - 1)).
+    """
+    n = count - 1
+    t = [0, 1] + [0] * n
+    for k in range(2, n + 1):
+        t[k] = (k - 1) * t[k - 1]
+    for k in range(2, n + 1):
+        for j in range(k, n + 1):
+            t[j] = (j - k) * t[j - 1] + (j - k + 2) * t[j]
+    out = [Fraction(1)]
+    for k in range(1, n + 1):
+        sign = 1 if k % 2 else -1
+        out.append(Fraction(sign * 2 * k * t[k], 4**k * (4**k - 1)))
+    return out

@@ -3,6 +3,7 @@ from fractions import Fraction
 from math import comb, factorial
 
 import pytest
+from oracles import tangent_bernoulli
 
 from lttkit.bernoulli import (
     FAMILIES,
@@ -281,6 +282,27 @@ def test_invalid_arguments():
         bernoulli_numbers(4, x=Fraction(0))
     with pytest.raises(ValueError):
         bernoulli_numbers(4, solver="iterative")
+
+
+def test_invalid_base_raises_before_padding(time_limit):
+    # padding multiplies by the base until it reaches the count: base 0 or 1 never does
+    time_limit(5)
+    for base in (0, 1, 4, 7):
+        for solver in ("fast", "forward"):
+            with pytest.raises(ValueError):
+                bernoulli_numbers(5, "ltt-even-I", solver=solver, base=base)
+
+
+def test_binom_even_matches_tangent_oracle_512():
+    assert bernoulli_numbers(512, "binom-even") == tangent_bernoulli(512)
+
+
+def test_every_route_matches_tangent_oracle():
+    want = tangent_bernoulli(64)
+    for method in METHODS:
+        assert bernoulli_numbers(64, method) == want, method
+        if method.startswith("ltt-"):
+            assert bernoulli_numbers(64, method, solver="fast") == want, method
 
 
 # ------------------------------------------------------------ number theory

@@ -70,6 +70,22 @@ def test_bernoulli_rejects_bad_method(capsys):
     assert exc.value.code == 2
 
 
+def test_bernoulli_rejects_zero_denominator_x(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["bernoulli", "--count", "3", "--x", "1/0"])
+    err = capsys.readouterr().err
+    assert exc.value.code == 2 and "--x" in err and "Traceback" not in err
+
+
+def test_bernoulli_rejects_bad_base(capsys, time_limit):
+    time_limit(5)
+    for base in ("0", "1", "7"):
+        code, out, err = run(capsys, "bernoulli", "--count", "5", "--solver", "fast", "--base", base)
+        assert code == 2 and out == "" and "base" in err, base
+    code, _, _ = run(capsys, "bernoulli", "--count", "5", "--base", "7")
+    assert code == 2
+
+
 def test_bernoulli_out_file(tmp_path, capsys):
     target = tmp_path / "table.txt"
     code, out, _ = run(capsys, "bernoulli", "--count", "3", "--out", str(target))
@@ -230,6 +246,19 @@ def test_matvec_toeplitz_split_matches_naive(tmp_path, capsys):
     naive_vals = [parse_scalar(ln, "complex") for ln in naive_out.splitlines()[1:]]
     split_vals = [parse_scalar(ln, "complex") for ln in split_out.splitlines()[1:]]
     assert max(abs(p - q) for p, q in zip(naive_vals, split_vals)) < 1e-10
+
+
+def test_matvec_ltt_embed_matches_naive(tmp_path, capsys):
+    coeffs = tmp_path / "a.txt"
+    vec = tmp_path / "v.txt"
+    write_vector(coeffs, [1 + 0j, 0.5 + 0.25j, -0.25 + 0j, 0.125 - 0.125j])
+    write_vector(vec, [1 + 0j, 2 - 1j, 0j, -1 + 0.5j])
+    results = {}
+    for impl in ("naive", "embed"):
+        code, out, _ = run(capsys, "matvec", "--coeffs", str(coeffs), "--vec", str(vec), "--impl", impl)
+        assert code == 0 and out.splitlines()[0] == "# n=4 field=complex"
+        results[impl] = [parse_scalar(ln, "complex") for ln in out.splitlines()[1:]]
+    assert max(abs(p - q) for p, q in zip(results["naive"], results["embed"])) < 1e-12
 
 
 def test_matvec_fft_requires_complex(tmp_path, capsys):

@@ -134,6 +134,20 @@ def test_neg_circulant_matches_dense():
         assert max_rel_err(got, dense_neg_circulant_matvec(a, v)) < 1e-10
 
 
+@pytest.mark.parametrize(
+    "n, base, neg_mults, split_mults", [(8, 2, 62, 93), (27, 3, 569, 1031), (25, 5, 677, 1255)]
+)
+def test_neg_circulant_and_split_op_counts(n, base, neg_mults, split_mults):
+    rng = random.Random(n)
+    v = _rand_vec(rng, n)
+    ops = OpCounter()
+    neg_circulant_matvec(_rand_vec(rng, n), v, base, ops)
+    assert ops.mults == neg_mults
+    ops = OpCounter()
+    toeplitz_matvec_split(ToeplitzSpec(n, tuple(_rand_vec(rng, 2 * n - 1))), v, base, ops)
+    assert ops.mults == split_mults
+
+
 def test_toeplitz_spec_validation():
     with pytest.raises(ValueError):
         ToeplitzSpec(4, (1, 2, 3))

@@ -201,6 +201,9 @@ def test_invert_errors():
         invert_first_column([Fraction(0), Fraction(1)], 2)
     with pytest.raises(ValueError):
         invert_first_column(_e1(6), 2)
+    # every level is already sparse, so only the up-front base check refuses this
+    with pytest.raises(ValueError):
+        invert_first_column([Fraction(1)] + [Fraction(0)] * 15, 4)
 
 
 def test_invert_telescopes_to_identity():
