@@ -122,12 +122,7 @@ class BernoulliSystem:
         return [z * d * q for z, d, q in zip(zscale, self._scaling(self.n), self.q)]
 
     def bernoulli_from_solution(self, y) -> list:
-        """Undo the diagonal scaling of the leading len(y) <= n unknowns.
-
-        The scaling of unknown i does not depend on n, so a truncated
-        solution of a padded system unscales exactly. typeII gets B_0 = 1
-        prepended.
-        """
+        """Undo the diagonal scaling of the solution y; typeII gets B_0 = 1 prepended."""
         out = [v / s for v, s in zip(y, self._scaling(len(y)))]
         return out if self.kind == "typeI" else [Fraction(1)] + out
 
@@ -333,13 +328,6 @@ def convert_type(sys: BernoulliSystem, direction: str) -> BernoulliSystem:
     raise ValueError(f"unknown direction: {direction!r}")
 
 
-def _next_power(m: int, base: int) -> int:
-    n = base
-    while n < m:
-        n *= base
-    return n
-
-
 def bernoulli_numbers(
     count: int,
     method: str = "binom-even",
@@ -350,9 +338,9 @@ def bernoulli_numbers(
     """[B_0, B_2, ..., B_{2(count-1)}] via the chosen system and solver.
 
     ``solver`` is "forward" (quadratic substitution) or "fast" (the
-    nullification solver; the system is generated at the next power of the
-    base and the solution truncated). ``base`` is 2, 3 or None (3 for the
-    ramanujan family, 2 otherwise). The result never depends on x, the
+    nullification solver, on the same system of count or count - 1 rows).
+    ``base`` is 2, 3 or None (3 for the ramanujan family, whose first level
+    is then free, 2 otherwise). The result never depends on x, the
     scaling cancels exactly.
     """
     if base not in (None, 2, 3):
@@ -378,14 +366,13 @@ def bernoulli_numbers(
     if m == 0:
         return [Fraction(1)]
 
+    sys_ = gen_system(family, kind, m, x)
     if solver == "forward":
-        sys_ = gen_system(family, kind, m, x)
         y = series.ltt_solve_forward(sys_.a, sys_.rhs())
     else:
         b = base if base is not None else (3 if family == "ramanujan" else 2)
-        sys_ = gen_system(family, kind, _next_power(m, b), x)
-        y = ltt_solve_fast(sys_.a, sys_.rhs(), b)[:m]
-    return sys_.bernoulli_from_solution(y)[:count]
+        y = ltt_solve_fast(sys_.a, sys_.rhs(), b)
+    return sys_.bernoulli_from_solution(y)
 
 
 def zeta_consistency(j: int, terms: int) -> float:
@@ -399,8 +386,10 @@ def zeta_consistency(j: int, terms: int) -> float:
     if terms < 1:
         raise ValueError("need at least one term")
     b2j = bernoulli_numbers(j + 1)[j]
-    closed = float(abs(b2j) / (2 * Fraction(factorial(2 * j)))) * (2 * math.pi) ** (2 * j)
-    partial = sum(1.0 / k ** (2 * j) for k in range(1, terms + 1))
+    # (2 pi)**2j = 2**6j (pi/4)**2j: the power of two joins the exact ratio, so
+    # neither float factor leaves the double range the way (2 pi)**2j does
+    closed = float(abs(b2j) * 2 ** (6 * j) / (2 * factorial(2 * j))) * (math.pi / 4) ** (2 * j)
+    partial = sum(float(k) ** (-2 * j) for k in range(1, terms + 1))
     return closed / partial
 
 

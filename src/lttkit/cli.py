@@ -301,8 +301,8 @@ def cmd_bench(args) -> int:
             t0 = time.perf_counter()
             solver.invert_first_column(a, args.base, ops=ops)
             elapsed = time.perf_counter() - t0
-        ratio = ops.mults / (n * levels) if levels else float("nan")
-        rows.append(f"{n:>8} {elapsed:>10.4f} {ops.mults:>14} {ratio:>18.2f}")
+        ratio = f"{ops.mults / (n * levels):.2f}" if levels else "-"  # n log_b n is 0 at n = 1
+        rows.append(f"{n:>8} {elapsed:>10.4f} {ops.mults:>14} {ratio:>18}")
     _emit("\n".join(rows) + "\n", args.out)
     return 0
 

@@ -1,18 +1,27 @@
 """Non-recursive l.t.T. solver by repeated diagonal nullification.
 
-For a unit lower triangular Toeplitz system of order n = base**k the solve
-runs in two sweeps:
+For a unit lower triangular Toeplitz system of any order n the solve runs
+in two sweeps:
 
 * First sweep: at each level the current column ``a`` (length m) is
   multiplied by a companion column ``hat`` chosen so that the product column
   vanishes at every index not divisible by base. The survivors, read off at
-  indexes 0, base, 2*base, ..., form the next column of length m/base. After
-  k levels the column is [1] and the accumulated left factors have turned
-  the matrix into the identity.
+  indexes 0, base, 2*base, ..., form the next column of length
+  ceil(m/base). After ceil(log_base n) levels the column is [1] and the
+  accumulated left factors have turned the matrix into the identity.
 * Second sweep: the inverse's first column is the product of the collected
   companion matrices applied to e_1, evaluated right to left with every
   matrix-vector product at its own block size (the zero structure of the
-  intermediate vectors keeps each step cheap).
+  intermediate vectors keeps each step cheap), each truncated to its
+  level's length m.
+
+The first m entries of 1/a(z) depend only on a mod z**m, and the next
+column is needed only mod z**ceil(m/base): this is Schoenhage's truncated
+reciprocal by root squaring at base b. So a rational level at a length m
+that the base does not divide pads the column with fewer than base zeros,
+and its assembly step keeps m entries; no length is padded to a power.
+Complex levels need transform lengths that are powers of the base, so a
+complex column is zero-padded once to the next power and x truncated.
 
 The companion column is free for base 2 (alternate the signs of ``a``), has
 an exact integer-coefficient closed form for base 3, and for larger bases is
@@ -209,10 +218,15 @@ def _already_sparse(col, base):
 
 
 def _apply_hat(hat, w, base, ops):
-    """L(hat) applied to w spread by base: residue class r is L(hat[r::base]) w."""
+    """L(hat) applied to w spread by base, truncated to len(hat).
+
+    Residue class r is L(hat[r::base]) times the leading len(hat[r::base])
+    entries of w.
+    """
     out = [None] * len(hat)
     for r in range(base):
-        out[r::base] = series.ltt_matvec_naive(hat[r::base], w, ops)
+        h = hat[r::base]
+        out[r::base] = series.ltt_matvec_naive(h, w[: len(h)], ops)
     return out
 
 
@@ -310,19 +324,32 @@ def _require_finite(values, name):
             raise ValueError(f"non-finite {name} entry at index {i}: {v!r}")
 
 
+def _power_at_least(n, base):
+    p = 1
+    while p < n:
+        p *= base
+    return p
+
+
 def invert_first_column(a, base: int, ops: OpCounter | None = None):
     """First column of the inverse of the n x n l.t.T. matrix built on ``a``.
 
-    n must be a power of ``base``. Returns (x, SolveTrace). Exact over
-    rationals (bases 2 and 3) with the naive kernels; a complex column runs
-    every level and every assembly step in the transform domain, at any
-    base. NaN or infinite entries raise ValueError; a complex inverse column
-    that leaves the double range raises OverflowError.
+    Any length n >= 1. Returns (x, SolveTrace). Exact over rationals (bases
+    2 and 3) with the naive kernels, each level and assembly step truncated
+    to its own length m; a complex column is zero-padded once to the next
+    power of the base and runs every level and every assembly step in the
+    transform domain, at any base. NaN or infinite entries raise
+    ValueError; a complex inverse column that leaves the double range
+    raises OverflowError.
 
     A column whose off-multiple entries are already zero skips its
     nullification level, the shorter column is read off directly.
     """
-    levels = fft._check_power(len(a), base)
+    if base < 2:
+        raise ValueError("base must be >= 2")
+    n = len(a)
+    if n < 1:
+        raise ValueError("length must be >= 1")
     a0 = a[0]
     if a0 == 0:
         raise SingularMatrixError("leading coefficient is zero")
@@ -337,10 +364,12 @@ def invert_first_column(a, base: int, ops: OpCounter | None = None):
         a0 = Fraction(a0)  # an int column normalizes exactly too
     # a0 / a0 can round off 1 in complex arithmetic, so the head is set exactly
     col = list(a) if a0 == 1 else [one] + [v / a0 for v in a[1:]]
+    if field == COMPLEX:
+        col += [zero] * (_power_at_least(n, base) - n)
 
-    hats = []
+    hats = []  # per level, its leading m = len(col) coefficients
     steps = []  # per level: the companion column (rational) or its samples (H, s) (complex), None if skipped
-    for _ in range(levels):
+    while len(col) > 1:
         m = len(col)
         if _already_sparse(col, base):
             hat, nxt, step = [col[0]] + [zero] * (m - 1), col[::base], None
@@ -349,37 +378,39 @@ def invert_first_column(a, base: int, ops: OpCounter | None = None):
             hat = _hat_base2(col) if base == 2 else _hat_from_samples(h, s, m, base, counter)
             step = (h, s)
         else:
-            level = sparsify_step(col, base, counter)
-            hat, nxt, step = level.hat, level.next, level.hat
+            level = sparsify_step(col + [zero] * (-m % base), base, counter)
+            hat = step = level.hat[:m]
+            nxt = level.next
         hats.append(hat)
         steps.append(step)
         col = nxt
 
     # Apply the companion matrices to e_1 right to left; the first product
     # is just the shortest companion column itself, a skipped level is a
-    # pure spread.
+    # pure spread. Each step keeps its level's m entries.
     w = list(hats[-1] if hats else col)
-    for step in steps[-2::-1]:
+    for hat, step in zip(hats[-2::-1], steps[-2::-1]):
         if step is None:
-            spread = [zero] * (base * len(w))
+            spread = [zero] * len(hat)
             spread[::base] = w
             w = spread
         elif field == COMPLEX:
             w = _apply_hat_samples(*step, w, base, counter)
         else:
             w = _apply_hat(step, w, base, counter)
-    x = w if a0 == 1 else [v / a0 for v in w]
+    x = w[:n] if a0 == 1 else [v / a0 for v in w[:n]]
     if field == COMPLEX and not all(map(cmath.isfinite, x)):
         raise OverflowError("the inverse's first column leaves the double range")
-    trace = SolveTrace(base=base, levels=levels, hat_columns=hats, mult_count=counter.mults - start)
+    trace = SolveTrace(base=base, levels=len(hats), hat_columns=hats, mult_count=counter.mults - start)
     return x, trace
 
 
 def ltt_solve_fast(a, f, base: int, with_trace: bool = False):
     """Solve L(a) x = f: invert the first column, then one l.t.T. product.
 
-    The product runs in the transform domain for a complex column and with
-    the naive kernel for a rational one. With ``with_trace`` the returned
+    The product runs in the transform domain for a complex column, on both
+    operands zero-padded to the next power of the base, and with the naive
+    kernel for a rational one. With ``with_trace`` the returned
     pair carries a SolveTrace whose count includes the final product. NaN or
     infinite entries in the column or the right-hand side raise ValueError.
     """
@@ -389,7 +420,8 @@ def ltt_solve_fast(a, f, base: int, with_trace: bool = False):
     ops = OpCounter()
     inv_col, trace = invert_first_column(a, base, ops)
     if field_of(a) == COMPLEX:
-        x = fft.ltt_matvec_fft(inv_col, list(f), base, ops)
+        pad = [0j] * (_power_at_least(len(a), base) - len(a))
+        x = fft.ltt_matvec_fft(inv_col + pad, list(f) + pad, base, ops)[: len(a)]
     else:
         x = series.ltt_matvec_naive(inv_col, list(f), ops)
     if with_trace:

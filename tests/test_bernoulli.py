@@ -20,6 +20,7 @@ from lttkit.bernoulli import (
     zeta_consistency,
 )
 from lttkit.series import ltt_matvec_naive, ltt_solve_forward
+from lttkit.solver import invert_first_column
 
 GOLDEN = [
     Fraction(1),
@@ -243,7 +244,7 @@ def test_fast_solver_agrees_with_forward():
     reference = bernoulli_numbers(14)
     for method in ("ltt-even-I", "ltt-odd-II", "ltt-ram-I", "ltt-ram-II"):
         assert bernoulli_numbers(14, method, solver="fast") == reference
-    # explicit base choices, including padding to non-trivial powers
+    # explicit base choices, at lengths that are not powers of the base
     assert bernoulli_numbers(10, "ltt-even-I", solver="fast", base=3) == reference[:10]
     assert bernoulli_numbers(10, "ltt-ram-II", solver="fast", base=2) == reference[:10]
 
@@ -285,7 +286,7 @@ def test_invalid_arguments():
 
 
 def test_invalid_base_raises_before_padding(time_limit):
-    # padding multiplies by the base until it reaches the count: base 0 or 1 never does
+    # a base 0 or 1 level would never shrink the column
     time_limit(5)
     for base in (0, 1, 4, 7):
         for solver in ("fast", "forward"):
@@ -295,6 +296,16 @@ def test_invalid_base_raises_before_padding(time_limit):
 
 def test_binom_even_matches_tangent_oracle_512():
     assert bernoulli_numbers(512, "binom-even") == tangent_bernoulli(512)
+
+
+def test_ram_column_count_at_base3():
+    # solved at its own length 128, not padded to 243 (4480 multiplications):
+    # the first level is free and each later one keeps ceil(m/3) coefficients
+    a = gen_system("ramanujan", "typeI", 128, Fraction(1)).a
+    _, trace = invert_first_column(a, 3)
+    assert [len(h) for h in trace.hat_columns] == [128, 43, 15, 5, 2]
+    assert trace.hat_columns[0] == [1] + [0] * 127
+    assert trace.mult_count == 1405
 
 
 def test_every_route_matches_tangent_oracle():
@@ -323,3 +334,9 @@ def test_zeta_consistency():
     assert abs(zeta_consistency(1, 10**6) - 1) < 1e-5
     assert abs(zeta_consistency(8, 1000) - 1) < 1e-9
     assert abs(zeta_consistency(1, 1) - math.pi**2 / 6) < 1e-12
+
+
+def test_zeta_consistency_large_j():
+    # (2 pi)**400 and 5**800 leave the double range; the ratio does not
+    for j in (200, 400):
+        assert abs(zeta_consistency(j, 5) - 1) < 1e-12, j

@@ -127,6 +127,20 @@ def test_solve_fast_with_trace(tmp_path, capsys):
     assert lines[5].startswith("# trace base=2 levels=2 mult_count=")
 
 
+def test_solve_fast_non_power_length_matches_forward(tmp_path, capsys):
+    coeffs = tmp_path / "a.txt"
+    rhs = tmp_path / "f.txt"
+    write_vector(coeffs, [Fraction(v) for v in ("3/2", "1", "-2", "1/3", "5", "-7/4")])
+    write_vector(rhs, [Fraction(v) for v in ("1", "2", "-1/2", "0", "4", "9")])
+    outs = []
+    for solver in ("forward", "fast"):
+        code, out, _ = run(capsys, "solve", "--coeffs", str(coeffs), "--rhs", str(rhs), "--solver", solver)
+        assert code == 0
+        outs.append(out)
+    assert outs[0] == outs[1]
+    assert outs[0].splitlines()[0] == "# n=6 field=rational"
+
+
 def test_solve_singular_exits_three(tmp_path, capsys):
     coeffs = tmp_path / "a.txt"
     rhs = tmp_path / "f.txt"
@@ -321,6 +335,16 @@ def test_bench_ratio_column_roughly_constant(capsys):
     ratios = [float(line.split()[3]) for line in out.strip().splitlines()[1:]]
     assert len(ratios) == 4
     assert max(ratios) / min(ratios) < 1.6
+
+
+def test_bench_size_one_prints_dash(capsys):
+    # n log_b n is 0 at n = 1, so the ratio column has no value
+    code, out, _ = run(capsys, "bench", "--sizes", "1,4", "--base", "2")
+    assert code == 0
+    rows = [line.split() for line in out.strip().splitlines()[1:]]
+    assert rows[0][0] == "1" and rows[0][3] == "-"
+    assert float(rows[1][3]) > 0
+    assert "nan" not in out
 
 
 def test_bench_rejects_non_power_size(capsys):

@@ -196,11 +196,25 @@ def test_invert_normalizes_leading_coefficient():
     assert max_rel_err(x, ref) < 1e-12
 
 
+def test_invert_any_length_matches_forward_exactly():
+    # a level at length m pads fewer than base zeros and its assembly step
+    # truncates back to m, so every length solves exactly
+    rng = random.Random(137)
+    for base in (2, 3):
+        for n in [*range(1, 41), 100, 127, 128, 129, 200]:
+            dense = _rat_column(rng, n, lo=-4, hi=4, den=4)
+            ints = [rng.choice((-3, 2, 5))] + [rng.randint(-4, 4) for _ in range(n - 1)]
+            # zero off the multiples of 3: skipped levels land at non-power lengths
+            sparse = [v if i % 3 == 0 else Fraction(0) for i, v in enumerate(_rat_column(rng, n, lo=-4, hi=4, den=4))]
+            for a in (dense, ints, sparse):
+                x, trace = invert_first_column(a, base)
+                assert x == ltt_solve_forward([Fraction(v) for v in a], _e1(n)), (base, n)
+                assert trace.levels == len(trace.hat_columns)
+
+
 def test_invert_errors():
     with pytest.raises(SingularMatrixError):
         invert_first_column([Fraction(0), Fraction(1)], 2)
-    with pytest.raises(ValueError):
-        invert_first_column(_e1(6), 2)
     # every level is already sparse, so only the up-front base check refuses this
     with pytest.raises(ValueError):
         invert_first_column([Fraction(1)] + [Fraction(0)] * 15, 4)
@@ -320,6 +334,18 @@ def test_solve_fast_rejects_non_finite_entries():
     # finite entries whose inverse column is out of range: 1e200**2 overflows
     with pytest.raises(OverflowError):
         invert_first_column([1 + 0j, -1e200, 0j, 0j], 2)
+
+
+def test_solve_fast_complex_non_power_lengths():
+    # padded once to the next power of the base, then truncated
+    rng = random.Random(139)
+    for base in (2, 3, 5):
+        for n in (6, 100, 700):
+            a = [1 + 0j] + [complex(rng.uniform(-1, 1), rng.uniform(-1, 1)) * 0.5**k for k in range(1, n)]
+            f = [complex(rng.uniform(-1, 1), rng.uniform(-1, 1)) for _ in range(n)]
+            got = ltt_solve_fast(a, f, base)
+            assert len(got) == n
+            assert max_rel_err(got, ltt_solve_forward(a, f)) < 1e-12, (base, n)
 
 
 def test_solve_fast_complex_full_pipeline():
