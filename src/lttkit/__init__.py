@@ -1,10 +1,11 @@
 """Lower triangular Toeplitz kernels and exact Bernoulli number drivers.
 
 Layers, bottom up: ``scalars`` (exact rational and complex fields),
-``series`` (naive l.t.T. algebra, the reference oracles), ``fft`` (radix-b
-transforms and fast Toeplitz products), ``solver`` (the non-recursive
-nullification solver), ``bernoulli`` (system generators and number-theoretic
-checks), ``cli`` (the ``lttkit`` command).
+``series`` (naive l.t.T. algebra, the reference oracles, and the exact
+Kronecker-substitution product), ``fft`` (radix-b transforms and fast
+Toeplitz products), ``solver`` (the non-recursive nullification solver),
+``bernoulli`` (system generators and number-theoretic checks), ``cli`` (the
+``lttkit`` command).
 """
 
 from .bernoulli import (

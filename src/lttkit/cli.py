@@ -162,6 +162,9 @@ def _suite_series() -> int:
     a = [Fraction(1)] + [Fraction(rng.randint(-5, 5)) for _ in range(15)]
     f = [Fraction(rng.randint(-5, 5)) for _ in range(16)]
     n += _require(series.ltt_matvec_naive(a, series.ltt_solve_forward(a, f)) == f, "solve consistency")
+    u = [Fraction(rng.randint(-9, 9), d) for d in range(1, 13)]
+    w = [Fraction(rng.randint(-9, 9), d) for d in range(13, 25)]
+    n += _require(series.ltt_matvec_kronecker(u, w) == series.ltt_matvec_naive(u, w), "kronecker product")
     return n
 
 

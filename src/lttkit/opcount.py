@@ -3,6 +3,11 @@
 Counts multiplications in the active field only (one complex product is one
 multiplication, one rational product is one multiplication). Additions,
 negations and divisions are not counted.
+
+This is the field-operation model, not a measure of bit work: an exact
+l.t.T. product of length n counts its n(n+1)/2 coefficient products,
+whichever kernel forms them. ``series.ltt_matvec_naive`` forms each one;
+``series.ltt_matvec_kronecker`` gets them all from one big-integer multiply.
 """
 
 from __future__ import annotations

@@ -8,11 +8,13 @@ product, i.e. plain series multiplication mod ``z**n``.
 
 The quadratic routines in this module are exact over rationals and serve as
 the reference implementations (and test oracles) for every fast path in the
-package.
+package. ltt_matvec_kronecker is the exact product the solver runs on
+rationals; ltt_matvec_naive is its oracle.
 """
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from operator import mul
 
@@ -40,6 +42,59 @@ def ltt_matvec_naive(a, v, ops: OpCounter | None = None):
     if ops is not None:
         ops.add(n * (n + 1) // 2)
     return out
+
+
+def _first_non_int(values):
+    return next((i for i, x in enumerate(values) if type(x) is not int), len(values))
+
+
+def _kronecker_pack(ints, width):
+    # sum_i ints[i] * 256**(width*i): each sign's magnitudes joined as width-byte slots
+    pos = b"".join((x if x > 0 else 0).to_bytes(width, "little") for x in ints)
+    neg = b"".join((-x if x < 0 else 0).to_bytes(width, "little") for x in ints)
+    return int.from_bytes(pos, "little") - int.from_bytes(neg, "little")
+
+
+def ltt_matvec_kronecker(a, v, ops: OpCounter | None = None):
+    """Exact l.t.T. product by Kronecker substitution: one big-integer multiply.
+
+    Both operands are brought to integer numerators over their lcm
+    denominator and packed into one integer each, coefficient i in the
+    i-th slot of beta bits; beta leaves room for any sum of n products
+    plus a sign bit. One integer product then holds every coefficient of
+    a(z)*v(z) in its slots, and the low n slots, offset by 2**(beta-1) to
+    read signed values, are the truncated product times the two
+    denominators (Harvey, "Faster polynomial multiplication via multipoint
+    Kronecker substitution", JSC 2009).
+
+    Rationals only. Returns what ltt_matvec_naive returns, values and
+    types: entry i is an int when every operand entry it pairs is an int,
+    otherwise a Fraction. Counts the n(n+1)/2 coefficient products of the
+    field-operation model.
+    """
+    n = len(a)
+    if n != len(v):
+        raise ValueError(f"length mismatch: column {n}, vector {len(v)}")
+    if not a:
+        raise ValueError("empty column")
+    da = math.lcm(*(x.denominator for x in a))
+    dv = math.lcm(*(x.denominator for x in v))
+    ia = [x.numerator * (da // x.denominator) for x in a]
+    iv = [x.numerator * (dv // x.denominator) for x in v]
+    bits = max(map(abs, ia)).bit_length() + max(map(abs, iv)).bit_length() + n.bit_length() + 2
+    width = (bits + 7) // 8
+    product = _kronecker_pack(ia, width) * _kronecker_pack(iv, width)
+    # add 2**(beta-1) to each of the low n slots, so every slot reads non-negative
+    offset = int.from_bytes((bytes(width - 1) + b"\x80") * n, "little")
+    raw = ((product + offset) & ((1 << (8 * width * n)) - 1)).to_bytes(width * n, "little")
+    half = 1 << (8 * width - 1)
+    coeffs = [int.from_bytes(raw[k : k + width], "little") - half for k in range(0, width * n, width)]
+    if ops is not None:
+        ops.add(n * (n + 1) // 2)
+    # entry i of the naive sum turns Fraction at the first Fraction it pairs
+    k0 = min(_first_non_int(a), _first_non_int(v))
+    d = da * dv
+    return [c // d for c in coeffs[:k0]] + [Fraction(c, d) for c in coeffs[k0:]]
 
 
 # The first column of the product of the l.t.T. matrices built on a and u is

@@ -29,13 +29,16 @@ the truncated product of the rotations a(z*t), ..., a(z*t**(base-1)) with t
 the base-th root of unity, which only exists here in complex arithmetic.
 
 The scalar field picks the kernels. Rational inputs (base 2 and 3) are
-solved exactly with the quadratic naive kernels at shrinking block sizes:
-each level is one sparsify_step, and each assembly step applies a companion
-column to a vector spread by the base, whose residue class r mod base is
-the naive l.t.T. product of hat[r::base] with the vector. A column that is
-already zero off the multiples of the base skips its level in either field:
-its companion column is e_1, and its assembly step is a pure spread with no
-multiplication.
+solved exactly at shrinking block sizes: each level is one sparsify_step,
+and each assembly step applies a companion column to a vector spread by
+the base, whose residue class r mod base is the l.t.T. product of
+hat[r::base] with the vector. Every such product, one per residue class in
+the levels and the assembly, is one Kronecker-substitution product
+(series.ltt_matvec_kronecker): one big-integer multiply in place of a
+quadratic sum of Fraction products. The base-3 companion column stays a
+naive sum. A column that is already zero off the multiples of the base
+skips its level in either field: its companion column is e_1, and its
+assembly step is a pure spread with no multiplication.
 
 Complex inputs run each level in the transform domain, as one Graeffe
 root-squaring step: the next column holds the z**base coefficients of
@@ -189,12 +192,14 @@ def _subsampled_next(col, hat, base, ops):
     Splitting the running index by residue class mod base turns the one
     length-m product into base length-m/base l.t.T. products: class 0 pairs
     col[0::base] with hat[0::base]; class r >= 1 pairs col[base-r::base] with
-    hat[r::base] and lands one slot later.
+    hat[r::base] and lands one slot later. Rational columns take the
+    Kronecker product, complex ones (the per-level reference) the naive one.
     """
+    product = series.ltt_matvec_kronecker if field_of(col) == RATIONAL else series.ltt_matvec_naive
     mb = len(col) // base
-    nxt = series.ltt_matvec_naive(col[0::base], hat[0::base], ops)
+    nxt = product(col[0::base], hat[0::base], ops)
     for r in range(1, base):
-        tail = series.ltt_matvec_naive(col[base - r :: base], hat[r::base], ops)
+        tail = product(col[base - r :: base], hat[r::base], ops)
         for i in range(1, mb):
             nxt[i] += tail[i - 1]
     return nxt
@@ -226,7 +231,7 @@ def _apply_hat(hat, w, base, ops):
     out = [None] * len(hat)
     for r in range(base):
         h = hat[r::base]
-        out[r::base] = series.ltt_matvec_naive(h, w[: len(h)], ops)
+        out[r::base] = series.ltt_matvec_kronecker(h, w[: len(h)], ops)
     return out
 
 
@@ -335,12 +340,12 @@ def invert_first_column(a, base: int, ops: OpCounter | None = None):
     """First column of the inverse of the n x n l.t.T. matrix built on ``a``.
 
     Any length n >= 1. Returns (x, SolveTrace). Exact over rationals (bases
-    2 and 3) with the naive kernels, each level and assembly step truncated
-    to its own length m; a complex column is zero-padded once to the next
-    power of the base and runs every level and every assembly step in the
-    transform domain, at any base. NaN or infinite entries raise
-    ValueError; a complex inverse column that leaves the double range
-    raises OverflowError.
+    2 and 3) with Kronecker-substitution products, each level and assembly
+    step truncated to its own length m; a complex column is zero-padded
+    once to the next power of the base and runs every level and every
+    assembly step in the transform domain, at any base. NaN or infinite
+    entries raise ValueError; a complex inverse column that leaves the
+    double range raises OverflowError.
 
     A column whose off-multiple entries are already zero skips its
     nullification level, the shorter column is read off directly.
@@ -409,10 +414,11 @@ def ltt_solve_fast(a, f, base: int, with_trace: bool = False):
     """Solve L(a) x = f: invert the first column, then one l.t.T. product.
 
     The product runs in the transform domain for a complex column, on both
-    operands zero-padded to the next power of the base, and with the naive
-    kernel for a rational one. With ``with_trace`` the returned
-    pair carries a SolveTrace whose count includes the final product. NaN or
-    infinite entries in the column or the right-hand side raise ValueError.
+    operands zero-padded to the next power of the base, and as one
+    Kronecker-substitution product for a rational one. With ``with_trace``
+    the returned pair carries a SolveTrace whose count includes the final
+    product. NaN or infinite entries in the column or the right-hand side
+    raise ValueError.
     """
     if len(f) != len(a):
         raise ValueError(f"length mismatch: column {len(a)}, rhs {len(f)}")
@@ -423,7 +429,7 @@ def ltt_solve_fast(a, f, base: int, with_trace: bool = False):
         pad = [0j] * (_power_at_least(len(a), base) - len(a))
         x = fft.ltt_matvec_fft(inv_col + pad, list(f) + pad, base, ops)[: len(a)]
     else:
-        x = series.ltt_matvec_naive(inv_col, list(f), ops)
+        x = series.ltt_matvec_kronecker(inv_col, list(f), ops)
     if with_trace:
         return x, replace(trace, mult_count=ops.mults)
     return x

@@ -316,6 +316,14 @@ def test_every_route_matches_tangent_oracle():
             assert bernoulli_numbers(64, method, solver="fast") == want, method
 
 
+def test_fast_routes_match_tangent_oracle_at_200():
+    # 200 is a power of neither base, so every level is truncated
+    want = tangent_bernoulli(200)
+    for method in METHODS:
+        if method.startswith("ltt-"):
+            assert bernoulli_numbers(200, method, solver="fast") == want, method
+
+
 # ------------------------------------------------------------ number theory
 
 

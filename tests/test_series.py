@@ -7,6 +7,7 @@ from lttkit.opcount import OpCounter
 from lttkit.series import (
     SingularMatrixError,
     ltt_compose,
+    ltt_matvec_kronecker,
     ltt_matvec_naive,
     ltt_solve_forward,
     read_vector,
@@ -38,6 +39,85 @@ def test_matvec_counts_multiplications():
     ops = OpCounter()
     ltt_matvec_naive([1, 2, 3, 4], [5, 6, 7, 8], ops)
     assert ops.mults == 10
+
+
+def _same(got, want):
+    # equal values and the same type entry by entry (int == Fraction compares equal)
+    return got == want and [type(v) for v in got] == [type(v) for v in want]
+
+
+def _signed_entry(rng, den_bits=4):
+    r = rng.random()
+    if r < 0.2:
+        return 0
+    if r < 0.4:
+        return rng.randint(-9, 9)
+    return Fraction(rng.randint(-99, 99), rng.randint(1, 2**den_bits))
+
+
+def test_kronecker_matches_naive_at_every_size():
+    rng = random.Random(23)
+    for n in list(range(1, 41)) + [128]:
+        ints = ([rng.randint(-9, 9) for _ in range(n)], [rng.randint(-9, 9) for _ in range(n)])
+        fracs = (_rand_column(rng, n), [Fraction(rng.randint(-9, 9), rng.randint(1, 9)) for _ in range(n)])
+        mixed = ([_signed_entry(rng) for _ in range(n)], [_signed_entry(rng) for _ in range(n)])
+        for a, v in (ints, fracs, mixed, (mixed[0], ints[1]), (ints[0], fracs[1])):
+            assert _same(ltt_matvec_kronecker(a, v), ltt_matvec_naive(a, v)), n
+
+
+def test_kronecker_zero_operands():
+    for n in (1, 2, 7, 32):
+        for zero in (0, Fraction(0)):
+            z = [zero] * n
+            v = [Fraction(-3, 7)] + list(range(1, n))
+            for a, b in ((z, z), (z, v), (v, z)):
+                assert _same(ltt_matvec_kronecker(a, b), ltt_matvec_naive(a, b)), (n, zero)
+    # zeros inside signed entries
+    a = [1, 0, -4, 0, 0, 7]
+    b = [Fraction(0), Fraction(-1, 2), 0, Fraction(5, 3), 0, -1]
+    assert _same(ltt_matvec_kronecker(a, b), ltt_matvec_naive(a, b))
+
+
+def test_kronecker_large_denominators():
+    rng = random.Random(29)
+    for n in (1, 3, 16, 40):
+        a = [_signed_entry(rng, den_bits=200) for _ in range(n)]
+        v = [_signed_entry(rng, den_bits=200) for _ in range(n)]
+        assert _same(ltt_matvec_kronecker(a, v), ltt_matvec_naive(a, v)), n
+
+
+def test_kronecker_slot_bound():
+    # every product at its largest and of one sign: the last coefficient is
+    # about 128 * 2**121, which a slot of bits(a) + bits(v) + 1 rounded to
+    # whole bytes (128 bits, signed) cannot hold
+    for sa, sv in ((1, 1), (1, -1), (-1, -1)):
+        a = [sa * (2**61 - 1)] * 128
+        v = [sv * (2**60 - 1)] * 128
+        assert _same(ltt_matvec_kronecker(a, v), ltt_matvec_naive(a, v)), (sa, sv)
+    # one entry of 2**5000 sets the slot width; the small products beside it
+    # and every sign combination must survive the unpacking
+    rng = random.Random(31)
+    for n in (1, 2, 9, 33):
+        for sign in (1, -1):
+            a = [rng.randint(-9, 9) for _ in range(n)]
+            a[n // 2] = sign * 2**5000
+            v = [Fraction(rng.randint(-9, 9), rng.randint(1, 9)) for _ in range(n)]
+            assert _same(ltt_matvec_kronecker(a, v), ltt_matvec_naive(a, v)), (n, sign)
+            assert _same(ltt_matvec_kronecker(v, a), ltt_matvec_naive(v, a)), (n, sign)
+
+
+def test_kronecker_shape_error():
+    with pytest.raises(ValueError):
+        ltt_matvec_kronecker([1, 2], [1, 2, 3])
+    with pytest.raises(ValueError):
+        ltt_matvec_kronecker([], [])
+
+
+def test_kronecker_counts_the_naive_products():
+    for n in (1, 2, 5, 64):
+        ops = OpCounter()
+        ltt_matvec_kronecker([Fraction(1, 3)] * n, list(range(n)), ops)
+        assert ops.mults == n * (n + 1) // 2
 
 
 def test_compose_examples():

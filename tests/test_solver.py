@@ -139,6 +139,14 @@ def test_invert_examples():
     assert x == [1, -2, 1, 0]
 
 
+def test_int_columns_keep_int_results():
+    # an int column with head 1 is solved in the integers: ints come back, not Fractions
+    x, _ = invert_first_column([1, 2, 3, 4, 5], 2)
+    assert x == [1, -2, 1, 0, 0] and all(type(v) is int for v in x)
+    x = ltt_solve_fast([1, 2, 3], [1, 1, 1], 3)
+    assert x == [1, -1, 0] and all(type(v) is int for v in x)
+
+
 def test_invert_matches_forward_oracle_exactly():
     rng = random.Random(83)
     for base, sizes in ((2, (4, 8, 16, 64)), (3, (9, 27, 81))):
