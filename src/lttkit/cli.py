@@ -171,7 +171,7 @@ def _suite_series() -> int:
 def _suite_fft() -> int:
     n = 0
     rng = random.Random(202)
-    for size, base in ((8, 2), (16, 2), (9, 3), (27, 3)):
+    for size, base in ((8, 2), (16, 2), (9, 3), (27, 3), (25, 5), (125, 5)):
         z = [complex(rng.uniform(-1, 1), rng.uniform(-1, 1)) for _ in range(size)]
         plan = fft.plan_for(size, base)
         got = fft.dft(z, plan)

@@ -12,6 +12,13 @@ Conventions fixed here and relied on everywhere else:
 * Transform lengths must be pure powers of one base; mixed lengths are
   rejected rather than planned mixed-radix.
 
+Two kernels run a transform's stages after the digit-reversed load:
+``_radix2`` runs the base-2 stages two at a time as radix-2**2 butterflies
+(He & Torkelson, 1996), and ``_radix_b`` runs every base >= 3 on whole list
+slices. Each performs the floating-point operations of the plain
+per-element Cooley-Tukey butterfly loops in the same order, so outputs and
+multiplication counts equal theirs to the bit.
+
 Two procedures compute ``T v`` for a full Toeplitz ``T`` of order n = b**k:
 embedding T into a (b*n) x (b*n) circulant, or splitting T into the sum of a
 circulant and a (-1)-circulant of order n. Both run in O(n log n).
@@ -21,6 +28,8 @@ from __future__ import annotations
 
 import cmath
 from dataclasses import dataclass
+from itertools import repeat
+from operator import add, mul
 
 from .opcount import OpCounter
 from .scalars import neg_root
@@ -118,94 +127,139 @@ def plan_for(n: int, base: int) -> DftPlan:
 def dft(z, plan: DftPlan, ops: OpCounter | None = None):
     """Unnormalized forward transform of z (length plan.n), radix plan.base.
 
-    Values are coerced to complex. Each block of size L is built from base
-    blocks of size L/base: entry q*m+k of the block is
-    ``sum_r w_base**(q*r) * (w_L**(k*r) * sub_r[k])`` with m = L/base.
+    Values are coerced to complex and loaded in digit-reversed order. Each
+    block of size L is then built from base blocks of size m = L/base:
+    entry q*m+k of the block is
+    ``sum_r w_base**(q*r) * (w_L**(k*r) * sub_r[k])``. ``_radix2`` runs the
+    stages for base 2 and ``_radix_b`` for every base >= 3; outputs and
+    counts equal those of the plain per-element butterfly loops to the bit.
     """
     n = plan.n
     if len(z) != n:
         raise ValueError(f"length mismatch: vector {len(z)}, plan {n}")
-    b = plan.base
-    roots = plan.root_table
-    perm = plan.permutation
-    x = [complex(z[i]) for i in perm]
-    if n == 1:
-        return x
-    mults = 0
-    if b == 2:
-        L = 2
-        while L <= n:
-            m = L >> 1
-            stride = n // L
-            for off in range(0, n, L):
-                om = off + m
-                u = x[off]
-                t = x[om]
-                x[off] = u + t
-                x[om] = u - t
-                for k in range(1, m):
-                    t = x[om + k] * roots[stride * k]
-                    u = x[off + k]
-                    x[off + k] = u + t
-                    x[om + k] = u - t
-            mults += (m - 1) * (n // L)
-            L <<= 1
-    elif b == 3:
-        w1 = roots[n // 3]
-        w2 = roots[2 * (n // 3)]
-        L = 3
-        while L <= n:
-            m = L // 3
-            stride = n // L
-            for off in range(0, n, L):
-                o1 = off + m
-                o2 = o1 + m
-                u0 = x[off]
-                t1 = x[o1]
-                t2 = x[o2]
-                x[off] = u0 + t1 + t2
-                x[o1] = u0 + w1 * t1 + w2 * t2
-                x[o2] = u0 + w2 * t1 + w1 * t2
-                for k in range(1, m):
-                    t1 = x[o1 + k] * roots[stride * k]
-                    t2 = x[o2 + k] * roots[2 * stride * k]
-                    u0 = x[off + k]
-                    x[off + k] = u0 + t1 + t2
-                    x[o1 + k] = u0 + w1 * t1 + w2 * t2
-                    x[o2 + k] = u0 + w2 * t1 + w1 * t2
-            mults += (6 * m - 2) * (n // L)
-            L *= 3
-    else:
-        wb = [roots[(n // b) * j] for j in range(b)]
-        L = b
-        while L <= n:
-            m = L // b
-            stride = n // L
-            for off in range(0, n, L):
-                block = x[off : off + L]
-                for k in range(m):
-                    ts = []
-                    for r in range(b):
-                        v = block[r * m + k]
-                        e = stride * k * r
-                        if e:
-                            v = v * roots[e]
-                            mults += 1
-                        ts.append(v)
-                    for q in range(b):
-                        acc = ts[0]
-                        for r in range(1, b):
-                            j = (q * r) % b
-                            if j:
-                                acc = acc + ts[r] * wb[j]
-                                mults += 1
-                            else:
-                                acc = acc + ts[r]
-                        x[off + q * m + k] = acc
-            L *= b
+    x = [complex(z[i]) for i in plan.permutation]
+    mults = _radix2(x, plan.root_table) if plan.base == 2 else _radix_b(x, plan.root_table, plan.base)
     if ops is not None:
         ops.add(mults)
     return x
+
+
+def _radix2(x, roots):
+    """Radix-2 stages in place on digit-reversed x; returns the multiplication count.
+
+    One sweep runs the stages L and 2L together as a radix-2**2 butterfly on
+    the four entries off+k, off+m+k, off+L+k, off+L+m+k (m = L/2): the
+    stage-L results stay in locals and only the stage-2L results are stored.
+    An odd stage count ends with one plain stage. Twiddle index 0 is not
+    multiplied.
+    """
+    n = len(x)
+    mults = 0
+    L = 2
+    while 2 * L <= n:
+        m = L >> 1
+        w1 = roots[: n // 2 : n // L]  # stage L twiddles, k = 0..m-1
+        w2 = roots[: n // 2 : n // (2 * L)]  # stage 2L twiddles, k = 0..L-1
+        wm = w2[m]
+        for a in range(0, n, 2 * L):
+            b = a + m
+            c = a + L
+            d = c + m
+            u = x[a]
+            t = x[b]
+            a1 = u + t
+            b1 = u - t
+            u = x[c]
+            t = x[d]
+            c1 = u + t
+            d1 = u - t
+            x[a] = a1 + c1
+            x[c] = a1 - c1
+            t = d1 * wm
+            x[b] = b1 + t
+            x[d] = b1 - t
+            for k in range(1, m):
+                w = w1[k]
+                t = x[b + k] * w
+                u = x[a + k]
+                a1 = u + t
+                b1 = u - t
+                t = x[d + k] * w
+                u = x[c + k]
+                c1 = u + t
+                d1 = u - t
+                t = c1 * w2[k]
+                x[a + k] = a1 + t
+                x[c + k] = a1 - t
+                t = d1 * w2[m + k]
+                x[b + k] = b1 + t
+                x[d + k] = b1 - t
+        mults += (m - 1) * (n // L) + (L - 1) * (n // (2 * L))
+        L <<= 2
+    if L <= n:
+        m = L >> 1
+        for k in range(1, m):
+            w = roots[k]
+            t = x[m + k] * w
+            u = x[k]
+            x[k] = u + t
+            x[m + k] = u - t
+        u = x[0]
+        t = x[m]
+        x[0] = u + t
+        x[m] = u - t
+        mults += m - 1
+    return mults
+
+
+def _radix_b(x, roots, b):
+    """Radix-b stages in place on digit-reversed x, any b >= 3; returns the count.
+
+    Each stage works on whole slices. With m <= n/L it loops over k and
+    takes entry r*m+k of every block as the strided slice x[k + r*m::L];
+    otherwise it loops over blocks and takes contiguous slices, zipped with
+    a strided slice of the twiddles. Output q accumulates
+    ``acc + t_r * w_b**(q*r)`` over r = 1..b-1, adding without multiplying
+    where q*r is 0 mod b.
+    """
+    n = len(x)
+    wb = [roots[(n // b) * j] for j in range(b)]
+    terms = [[(r, wb[q * r % b] if q * r % b else None) for r in range(1, b)] for q in range(b)]
+    nonzero = sum(w is not None for row in terms for _, w in row)
+    mults = 0
+    L = b
+    while L <= n:
+        m = L // b
+        blocks = n // L
+        if m <= blocks:
+            for k in range(m):
+                ts = [x[k + r * m :: L] for r in range(b)]
+                if k:
+                    for r in range(1, b):
+                        ts[r] = list(map(mul, ts[r], repeat(roots[blocks * k * r], blocks)))
+                for q, row in enumerate(terms):
+                    x[k + q * m :: L] = _accumulate(ts, row)
+        else:
+            tw = [None] + [roots[: blocks * r * m : blocks * r] for r in range(1, b)]
+            for off in range(0, n, L):
+                ts = [x[off + r * m : off + r * m + m] for r in range(b)]
+                for r in range(1, b):
+                    head = ts[r][0]  # twiddle index 0 is not multiplied
+                    ts[r] = list(map(mul, ts[r], tw[r]))
+                    ts[r][0] = head
+                for q, row in enumerate(terms):
+                    x[off + q * m : off + q * m + m] = _accumulate(ts, row)
+        mults += ((b - 1) * (m - 1) + nonzero * m) * blocks
+        L *= b
+    return mults
+
+
+def _accumulate(ts, row):
+    # ((ts[0] + ts[1] w) + ts[2] w') + ...: one output of the radix-b butterfly, slice-wise
+    acc = ts[0]
+    for r, w in row:
+        acc = list(map(add, acc, ts[r] if w is None else map(mul, ts[r], repeat(w))))
+    return acc
 
 
 def idft(z, plan: DftPlan, ops: OpCounter | None = None):
@@ -297,11 +351,8 @@ def circulant_embedding_row(spec: ToeplitzSpec, base: int) -> list:
     if base < 2:
         raise ValueError("base must be >= 2")
     n = spec.n
-    row = [spec.value(0)]
-    row.extend(spec.value(-i) for i in range(1, n))
-    row.extend([0] * ((base - 2) * n + 1))
-    row.extend(spec.value(n - i) for i in range(1, n))
-    return row
+    d = spec.diags  # t_k sits at d[n - 1 + k]
+    return list(d[n - 1 :: -1]) + [0] * ((base - 2) * n + 1) + list(d[: n - 1 : -1])
 
 
 def toeplitz_matvec_embed(spec: ToeplitzSpec, v, base: int, ops: OpCounter | None = None):
@@ -327,13 +378,11 @@ def toeplitz_matvec_split(spec: ToeplitzSpec, v, base: int | None = None, ops: O
     if base is None:
         base = infer_base(n)
     _check_power(n, base)
-    row = []
-    row_neg = []
-    for i in range(n):
-        lo = complex(spec.value(-i))
-        hi = complex(spec.value(n - i)) if i else 0j  # t_n = 0
-        row.append((lo + hi) * 0.5)
-        row_neg.append((lo - hi) * 0.5)
+    d = spec.diags  # t_k sits at d[n - 1 + k]
+    lo = [complex(t) for t in d[n - 1 :: -1]]  # t_{-i}
+    hi = [0j] + [complex(t) for t in d[: n - 1 : -1]]  # t_{n-i}, with t_n = 0
+    row = [(p + q) * 0.5 for p, q in zip(lo, hi)]
+    row_neg = [(p - q) * 0.5 for p, q in zip(lo, hi)]
     w1 = circulant_matvec(row, v, base, ops)
     w2 = neg_circulant_matvec(row_neg, v, base, ops)
     return [p + q for p, q in zip(w1, w2)]

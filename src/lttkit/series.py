@@ -44,7 +44,8 @@ def ltt_matvec_naive(a, v, ops: OpCounter | None = None):
     return out
 
 
-def _first_non_int(values):
+def first_non_int(values):
+    """Index of the first entry that is not an int (len(values) if there is none)."""
     return next((i for i, x in enumerate(values) if type(x) is not int), len(values))
 
 
@@ -92,7 +93,7 @@ def ltt_matvec_kronecker(a, v, ops: OpCounter | None = None):
     if ops is not None:
         ops.add(n * (n + 1) // 2)
     # entry i of the naive sum turns Fraction at the first Fraction it pairs
-    k0 = min(_first_non_int(a), _first_non_int(v))
+    k0 = min(first_non_int(a), first_non_int(v))
     d = da * dv
     return [c // d for c in coeffs[:k0]] + [Fraction(c, d) for c in coeffs[k0:]]
 

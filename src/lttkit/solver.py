@@ -229,7 +229,7 @@ def _apply_hat(hat, w, base, ops):
     entries of w.
     """
     out = [None] * len(hat)
-    for r in range(base):
+    for r in range(min(base, len(hat))):
         h = hat[r::base]
         out[r::base] = series.ltt_matvec_kronecker(h, w[: len(h)], ops)
     return out
@@ -415,10 +415,11 @@ def ltt_solve_fast(a, f, base: int, with_trace: bool = False):
 
     The product runs in the transform domain for a complex column, on both
     operands zero-padded to the next power of the base, and as one
-    Kronecker-substitution product for a rational one. With ``with_trace``
-    the returned pair carries a SolveTrace whose count includes the final
-    product. NaN or infinite entries in the column or the right-hand side
-    raise ValueError.
+    Kronecker-substitution product for a rational one, or one per residue
+    class when the inverse column is zero off the multiples of the base.
+    With ``with_trace`` the returned pair carries a SolveTrace whose count
+    includes the final product. NaN or infinite entries in the column or the
+    right-hand side raise ValueError.
     """
     if len(f) != len(a):
         raise ValueError(f"length mismatch: column {len(a)}, rhs {len(f)}")
@@ -428,6 +429,13 @@ def ltt_solve_fast(a, f, base: int, with_trace: bool = False):
     if field_of(a) == COMPLEX:
         pad = [0j] * (_power_at_least(len(a), base) - len(a))
         x = fft.ltt_matvec_fft(inv_col + pad, list(f) + pad, base, ops)[: len(a)]
+    elif _already_sparse(inv_col, base):
+        # inv_col(z) = h(z**base), so the product is _apply_hat's f(z) * h(z**base):
+        # base products of a base-th of the length. Entries keep the dense
+        # product's types: a Fraction from the first non-int operand entry on.
+        x = _apply_hat(list(f), inv_col[::base], base, ops)
+        k0 = min(series.first_non_int(inv_col), series.first_non_int(f))
+        x[k0:] = [Fraction(c) if type(c) is int else c for c in x[k0:]]
     else:
         x = series.ltt_matvec_kronecker(inv_col, list(f), ops)
     if with_trace:

@@ -64,6 +64,43 @@ def test_dft_matches_naive_oracle():
             assert max_rel_err(dft(z, plan_for(n, base)), naive_dft(z)) < 1e-12
 
 
+@pytest.mark.parametrize("base, top", [(2, 10), (3, 6), (4, 4), (5, 4), (6, 3), (7, 3)])
+def test_dft_every_length_matches_naive_oracle(base, top):
+    # odd and even radix-2 stage counts; for b >= 3 both the strided (m <= n/L)
+    # and the contiguous slices, and at bases 4 and 6 outputs where q*r = 0 mod b
+    rng = random.Random(base)
+    for k in range(top + 1):
+        n = base**k
+        z = _rand_vec(rng, n)
+        assert max_rel_err(dft(z, plan_for(n, base)), naive_dft(z)) < 1e-12, n
+
+
+# Counts of the per-element butterfly loops the two kernels replaced.
+@pytest.mark.parametrize(
+    "n, base, mults",
+    [
+        (1, 2, 0),
+        (2, 2, 0),
+        (8, 2, 5),
+        (64, 2, 129),
+        (2048, 2, 9217),
+        (3, 3, 4),
+        (81, 3, 568),
+        (4, 4, 8),
+        (64, 4, 465),
+        (5, 5, 16),
+        (125, 5, 1376),
+        (36, 6, 277),
+        (216, 6, 2593),
+        (49, 7, 540),
+    ],
+)
+def test_dft_op_count_pins(n, base, mults):
+    ops = OpCounter()
+    dft([1j] * n, plan_for(n, base), ops)
+    assert ops.mults == mults
+
+
 def test_generic_radix_matches_naive_oracle():
     rng = random.Random(29)
     for base, n in ((4, 64), (5, 125), (6, 36)):
@@ -79,7 +116,8 @@ def test_idft_examples():
 
 def test_idft_round_trip():
     rng = random.Random(31)
-    for base, sizes in ((2, [8, 64, 1024]), (3, [9, 243, 729])):
+    cases = ((2, [8, 64, 1024]), (3, [9, 243, 729]), (4, [16, 1024]), (5, [25, 625]), (6, [36, 1296]), (7, [49, 2401]))
+    for base, sizes in cases:
         for n in sizes:
             z = _rand_vec(rng, n)
             plan = plan_for(n, base)

@@ -315,6 +315,24 @@ def test_solve_fast_matches_oracle_base3():
     assert ltt_solve_fast(a, f, 3) == ltt_solve_forward(a, f)
 
 
+def test_solve_fast_sparse_inverse_splits_final_product():
+    # a column zero off the multiples of the base has such an inverse too; the
+    # final product runs per residue class and returns the dense product's
+    # values and types (int entries until the first Fraction operand entry)
+    rng = random.Random(131)
+    for base in (2, 3):
+        for n in (1, 2, 7, 30):
+            a = [1] + [rng.randint(-3, 3) if k % base == 0 else 0 for k in range(1, n)]
+            f = [rng.randint(-5, 5) for _ in range(n)]
+            inv, trace_inv = invert_first_column(a, base)
+            x, trace = ltt_solve_fast(a, f, base, with_trace=True)
+            dense = ltt_matvec_naive(inv, f)
+            assert x == dense == ltt_solve_forward(a, f)
+            assert [type(v) for v in x] == [type(v) for v in dense]
+            class_sizes = [len(f[r::base]) for r in range(min(base, n))]
+            assert trace.mult_count - trace_inv.mult_count == sum(c * (c + 1) // 2 for c in class_sizes)
+
+
 def test_solve_fast_trace_includes_final_product():
     a = [Fraction(v) for v in (1, 2, 3, 4)]
     _, trace_inv = invert_first_column(a, 2)
