@@ -90,10 +90,10 @@ class DftPlan:
     breadth-first through block sizes base, base**2, ..., n.
     """
 
-    __slots__ = ("n", "base", "levels", "root_table", "permutation")
+    __slots__ = ("n", "base", "root_table", "permutation")
 
     def __init__(self, n: int, base: int):
-        self.levels = _check_power(n, base)
+        _check_power(n, base)
         self.n = n
         self.base = base
         self.root_table = tuple(cmath.exp(2j * cmath.pi * j / n) for j in range(n))
@@ -101,15 +101,12 @@ class DftPlan:
 
 
 def _digit_reversal(n, base):
-    def group(ix):
-        if len(ix) <= 1:
-            return ix
-        out = []
-        for r in range(base):
-            out.extend(group(ix[r::base]))
-        return out
-
-    return group(list(range(n)))
+    # Grouping range(n) by residue class r mod base puts r + base * p in
+    # block r, p running over the grouped order of range(n // base).
+    perm = [0]
+    while len(perm) < n:
+        perm = [r + base * p for r in range(base) for p in perm]
+    return perm
 
 
 _PLAN_CACHE: dict[tuple[int, int], DftPlan] = {}

@@ -23,19 +23,21 @@ and its assembly step keeps m entries; no length is padded to a power.
 Complex levels need transform lengths that are powers of the base, so a
 complex column is zero-padded once to the next power and x truncated.
 
-The companion column is free for base 2 (alternate the signs of ``a``), has
-an exact integer-coefficient closed form for base 3, and for larger bases is
-the truncated product of the rotations a(z*t), ..., a(z*t**(base-1)) with t
-the base-th root of unity, which only exists here in complex arithmetic.
+The companion column is the truncated product of the rotations a(z*t), ...,
+a(z*t**(base-1)) with t the base-th root of unity. It is free for base 2
+(alternate the signs of ``a``) and has an exact integer-coefficient closed
+form for base 3. For base >= 4 it exists only over the complex numbers,
+and only in the transform domain, as samples of that product.
 
-The scalar field picks the kernels. Rational inputs (base 2 and 3) are
-solved exactly at shrinking block sizes: each level is one sparsify_step,
-and each assembly step applies a companion column to a vector spread by
-the base, whose residue class r mod base is the l.t.T. product of
-hat[r::base] with the vector. Every such product, one per residue class in
-the levels and the assembly, is one Kronecker-substitution product
-(series.ltt_matvec_kronecker): one big-integer multiply in place of a
-quadratic sum of Fraction products. The base-3 companion column stays a
+The scalar field, decided once by invert_first_column and ltt_solve_fast,
+picks one level kernel and one final product. Rational inputs (base 2 and
+3) are solved exactly at shrinking block sizes: each level is one
+sparsify_step, and each assembly step applies a companion column to a
+vector spread by the base, whose residue class r mod base is the l.t.T.
+product of hat[r::base] with the vector. Every such product, one per
+residue class in the levels and the assembly, is one Kronecker-substitution
+product (series.ltt_matvec_kronecker): one big-integer multiply in place of
+a quadratic sum of Fraction products. The base-3 companion column stays a
 naive sum. A column that is already zero off the multiples of the base
 skips its level in either field: its companion column is e_1, and its
 assembly step is a pure spread with no multiplication.
@@ -52,9 +54,7 @@ the vector and one length-N inverse transform of its product with H. So a
 level costs two transforms in each sweep, plus one length-N inverse
 transform that writes out the companion column for base >= 3.
 SolveTrace counts every transform multiplication and pointwise product,
-O(n log n) in total. sparsify_hat and sparsify_step also take complex
-columns, at any base; they compute one level with the naive kernels and
-are the reference the transform-domain level is checked against.
+O(n log n) in total.
 
 The companion columns are built from products of the input column with
 itself, so their dynamic range roughly squares at every level. Exact
@@ -75,7 +75,7 @@ from fractions import Fraction
 
 from . import fft, series
 from .opcount import OpCounter
-from .scalars import COMPLEX, RATIONAL, field_of, principal_root
+from .scalars import COMPLEX, RATIONAL, field_of
 from .series import SingularMatrixError
 
 __all__ = [
@@ -142,48 +142,23 @@ def _hat_base3_exact(a, ops: OpCounter | None):
     return out
 
 
-def _hat_product(a, base, ops):
-    """Companion column as the product of rotated copies of a, truncated.
-
-    Rotation i multiplies coefficient k by t**(i*k), t the principal base-th
-    root of unity; the rotations are folded together with base-2 many naive
-    l.t.T. products.
-    """
-    n = len(a)
-    t = principal_root(base)
-    out = None
-    for i in range(1, base):
-        ti = t**i
-        rot = []
-        p = 1.0 + 0j
-        for k in range(n):
-            rot.append(complex(a[k]) * p if k else complex(a[0]))
-            p *= ti
-        if ops is not None:
-            ops.add(2 * (n - 1))  # rotation scalings and the power ladder
-        out = rot if out is None else series.ltt_matvec_naive(out, rot, ops)
-    return out
-
-
 def sparsify_hat(a, base: int, ops: OpCounter | None = None):
     """Column hat with (L(a) hat)_i = 0 at every index i with i % base != 0.
 
-    Requires a[0] == 1. Rational input is supported for bases 2 and 3 (the
-    closed forms have integer coefficients); larger bases fall back to the
-    complex product of rotations.
+    The exact level's companion column: a rational column with a[0] == 1,
+    at base 2 or 3, where the closed forms have integer coefficients. A
+    complex column raises ValueError; its levels run in the transform
+    domain inside invert_first_column.
     """
     if not a or a[0] != 1:
         raise ValueError("column must be normalized to leading coefficient 1")
-    if base < 2:
-        raise ValueError("base must be >= 2")
-    field = field_of(a)
+    if field_of(a) != RATIONAL:
+        raise ValueError("sparsify_hat takes rational columns; complex levels run in the transform domain")
     if base == 2:
         return _hat_base2(a)
-    if field == RATIONAL:
-        if base == 3:
-            return _hat_base3_exact(a, ops)
-        raise ValueError(f"no exact companion form for base {base}; use complex scalars")
-    return _hat_product(a, base, ops)
+    if base == 3:
+        return _hat_base3_exact(a, ops)
+    raise ValueError(f"no exact companion form for base {base}; exact levels take base 2 or 3")
 
 
 def _subsampled_next(col, hat, base, ops):
@@ -192,14 +167,12 @@ def _subsampled_next(col, hat, base, ops):
     Splitting the running index by residue class mod base turns the one
     length-m product into base length-m/base l.t.T. products: class 0 pairs
     col[0::base] with hat[0::base]; class r >= 1 pairs col[base-r::base] with
-    hat[r::base] and lands one slot later. Rational columns take the
-    Kronecker product, complex ones (the per-level reference) the naive one.
+    hat[r::base] and lands one slot later. Each is one Kronecker product.
     """
-    product = series.ltt_matvec_kronecker if field_of(col) == RATIONAL else series.ltt_matvec_naive
     mb = len(col) // base
-    nxt = product(col[0::base], hat[0::base], ops)
+    nxt = series.ltt_matvec_kronecker(col[0::base], hat[0::base], ops)
     for r in range(1, base):
-        tail = product(col[base - r :: base], hat[r::base], ops)
+        tail = series.ltt_matvec_kronecker(col[base - r :: base], hat[r::base], ops)
         for i in range(1, mb):
             nxt[i] += tail[i - 1]
     return nxt
@@ -413,31 +386,33 @@ def invert_first_column(a, base: int, ops: OpCounter | None = None):
 def ltt_solve_fast(a, f, base: int, with_trace: bool = False):
     """Solve L(a) x = f: invert the first column, then one l.t.T. product.
 
-    The product runs in the transform domain for a complex column, on both
-    operands zero-padded to the next power of the base, and as one
-    Kronecker-substitution product for a rational one, or one per residue
-    class when the inverse column is zero off the multiples of the base.
-    With ``with_trace`` the returned pair carries a SolveTrace whose count
-    includes the final product. NaN or infinite entries in the column or the
-    right-hand side raise ValueError.
+    A complex or float entry in either operand makes the whole solve
+    complex. The product runs in the transform domain for a complex column,
+    on both operands zero-padded to the next power of the base, and as
+    _apply_hat for a rational one: one Kronecker-substitution product, or
+    one per residue class when the inverse column is zero off the multiples
+    of the base. With ``with_trace`` the returned pair carries a SolveTrace
+    whose count includes the final product. NaN or infinite entries in the
+    column or the right-hand side raise ValueError.
     """
     if len(f) != len(a):
         raise ValueError(f"length mismatch: column {len(a)}, rhs {len(f)}")
     _require_finite(f, "rhs")
+    if field_of(f) == COMPLEX:
+        a = [complex(v) for v in a]
     ops = OpCounter()
     inv_col, trace = invert_first_column(a, base, ops)
     if field_of(a) == COMPLEX:
         pad = [0j] * (_power_at_least(len(a), base) - len(a))
         x = fft.ltt_matvec_fft(inv_col + pad, list(f) + pad, base, ops)[: len(a)]
-    elif _already_sparse(inv_col, base):
-        # inv_col(z) = h(z**base), so the product is _apply_hat's f(z) * h(z**base):
-        # base products of a base-th of the length. Entries keep the dense
+    else:
+        # inv_col(z) = h(z**b), so the product is _apply_hat's f(z) * h(z**b):
+        # b products of a b-th of the length. Entries keep the dense
         # product's types: a Fraction from the first non-int operand entry on.
-        x = _apply_hat(list(f), inv_col[::base], base, ops)
+        b = base if _already_sparse(inv_col, base) else 1
+        x = _apply_hat(list(f), inv_col[::b], b, ops)
         k0 = min(series.first_non_int(inv_col), series.first_non_int(f))
         x[k0:] = [Fraction(c) if type(c) is int else c for c in x[k0:]]
-    else:
-        x = series.ltt_matvec_kronecker(inv_col, list(f), ops)
     if with_trace:
         return x, replace(trace, mult_count=ops.mults)
     return x

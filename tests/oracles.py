@@ -49,6 +49,20 @@ def max_abs_err(got, want) -> float:
     return max(abs(complex(g) - complex(w)) for g, w in zip(got, want))
 
 
+def rotation_hat(a, base):
+    """Companion column a(t z) a(t**2 z) ... a(t**(base-1) z) mod z**n, t = exp(2*pi*i/base).
+
+    Rotation i scales coefficient k by t**(i*k), exponent reduced mod base;
+    the rotations are multiplied as power series truncated to len(a).
+    """
+    n = len(a)
+    out = [1 + 0j] + [0j] * (n - 1)
+    for i in range(1, base):
+        rot = [complex(a[k]) * cmath.exp(2j * cmath.pi * ((i * k) % base) / base) for k in range(n)]
+        out = [sum(out[j] * rot[k - j] for j in range(k + 1)) for k in range(n)]
+    return out
+
+
 class Eisenstein:
     """Exact arithmetic in Q(w), w the primitive cube root of unity.
 

@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from oracles import Eisenstein, max_rel_err, product_form_hat3
+from oracles import Eisenstein, max_rel_err, product_form_hat3, rotation_hat
 
 from lttkit.series import (
     SingularMatrixError,
@@ -93,11 +93,21 @@ def test_hat_complex_path_is_real_for_rational_input():
     rng = random.Random(73)
     for base, n in ((3, 81), (3, 243), (4, 16), (5, 25)):
         a = _rat_column(rng, n, lo=-3, hi=3, den=3)
-        hat = sparsify_hat([complex(v) for v in a], base)
+        hat = invert_first_column([complex(v) for v in a], base)[1].hat_columns[0]
         assert max(abs(v.imag) for v in hat) < 1e-10
         if base == 3:
             exact = sparsify_hat(a, 3)
             assert max(abs(h - complex(e)) for h, e in zip(hat, exact)) < 1e-8
+
+
+def test_sparsify_rejects_complex_columns():
+    # complex levels run in the transform domain, inside invert_first_column
+    for base in (2, 3, 4):
+        a = [1 + 0j, 0.5 + 0j] + [0j] * (base * base - 2)
+        with pytest.raises(ValueError):
+            sparsify_hat(a, base)
+        with pytest.raises(ValueError):
+            sparsify_step(a, base)
 
 
 def test_sparsify_step_examples():
@@ -243,14 +253,16 @@ def test_invert_telescopes_to_identity():
 
 def test_invert_complex_fft_backend_accuracy():
     rng = random.Random(103)
-    for base, n in ((2, 64), (3, 81), (4, 64), (5, 125)):
+    # every base 2..7 at n = base**2 and base**3, and (2, 64), (3, 81)
+    cases = ((2, 64), (3, 81), (4, 64), (5, 125), (2, 4), (2, 8), (3, 9), (3, 27), (4, 16), (5, 25))
+    for base, n in cases + ((6, 36), (6, 216), (7, 49), (7, 343)):
         a = _cx_column(rng, n, scale=0.3)
         x, trace = invert_first_column(a, base)
         ref = ltt_solve_forward(a, [1 + 0j] + [0j] * (n - 1))
-        assert max_rel_err(x, ref) < 1e-8
+        assert max_rel_err(x, ref) < 1e-8, (base, n)
         assert trace.mult_count > 0
         assert [len(h) for h in trace.hat_columns] == [n // base**j for j in range(trace.levels)]
-        assert max_rel_err(trace.hat_columns[0], sparsify_hat(a, base)) < 1e-12
+        assert max_rel_err(trace.hat_columns[0], rotation_hat(a, base)) < 1e-12, (base, n)
 
 
 def test_invert_complex_naive_backend():
@@ -372,6 +384,17 @@ def test_solve_fast_complex_non_power_lengths():
             got = ltt_solve_fast(a, f, base)
             assert len(got) == n
             assert max_rel_err(got, ltt_solve_forward(a, f)) < 1e-12, (base, n)
+
+
+def test_solve_fast_complex_rhs_makes_solve_complex():
+    # a rational column with a complex or float right-hand side is solved in the complex field
+    a = [1, 2, 3]
+    for f in ([1j, 0, 0], [0.5, 0, 0]):
+        ref = ltt_solve_forward(a, f)
+        for base in (2, 3, 4):
+            got = ltt_solve_fast(a, f, base)
+            assert all(type(v) is complex for v in got)
+            assert max_rel_err(got, ref) < 1e-12, (f, base)
 
 
 def test_solve_fast_complex_full_pipeline():
