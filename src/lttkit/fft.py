@@ -21,7 +21,9 @@ multiplication counts equal theirs to the bit.
 
 Two procedures compute ``T v`` for a full Toeplitz ``T`` of order n = b**k:
 embedding T into a (b*n) x (b*n) circulant, or splitting T into the sum of a
-circulant and a (-1)-circulant of order n. Both run in O(n log n).
+circulant and a (-1)-circulant of order n. Both run in O(n log n). The
+lower triangular product ``ltt_matvec_fft`` uses the split, whose transforms
+stay at length n for every base.
 """
 
 from __future__ import annotations
@@ -292,20 +294,25 @@ def neg_circulant_matvec(first_row, v, base: int | None = None, ops: OpCounter |
     """Product C_-(a) v for the (-1)-circulant with first row a.
 
     C_-(a) has entries a[(j - i) mod n] negated below the diagonal; it is the
-    circulant algebra conjugated by diag(rho**j) with rho**n = -1.
+    circulant algebra conjugated by diag(rho**j) with rho**n = -1. The even
+    powers rho**(2k) are the plan's roots of unity w**k, each accurate to an
+    ulp, and the odd ones are w**k * rho; repeated multiplication by rho
+    would let the error grow with j.
     """
     n = len(first_row)
     if len(v) != n:
         raise ValueError(f"length mismatch: row {n}, vector {len(v)}")
+    plan = _resolve_plan(n, base)
     rho = neg_root(n)
-    d = [1.0 + 0j]
-    for _ in range(n - 1):
-        d.append(d[-1] * rho)
+    roots = plan.root_table[: (n + 1) // 2]
+    d = [None] * n
+    d[::2] = roots
+    d[1::2] = [w * rho for w in roots[: n // 2]]
     row = [p * complex(a) for p, a in zip(d, first_row)]
-    w = circulant_matvec(row, [p.conjugate() * complex(u) for p, u in zip(d, v)], base, ops)
+    w = circulant_matvec(row, [p.conjugate() * complex(u) for p, u in zip(d, v)], plan.base, ops)
     if ops is not None:
-        # rho powers plus three diagonal scalings of length n
-        ops.add(4 * n - 1)
+        # odd rho powers plus three diagonal scalings of length n
+        ops.add(n // 2 + 3 * n)
     return [p * q for p, q in zip(d, w)]
 
 
@@ -400,8 +407,11 @@ def toeplitz_matvec_naive(spec: ToeplitzSpec, v, ops: OpCounter | None = None):
 
 
 def ltt_matvec_fft(a, v, base: int | None = None, ops: OpCounter | None = None):
-    """Lower triangular Toeplitz product via the circulant embedding.
+    """Lower triangular Toeplitz product via the circulant + (-1)-circulant split.
 
+    L(a) = (C(r) + C_-(r')) / 2 with first rows r = [a_0, a_{n-1}, ..., a_1]
+    and r' = [a_0, -a_{n-1}, ..., -a_1]: six transforms of length n at any
+    base, where the circulant embedding takes three of length base*n.
     Complex-field fast path for the solver; length must be a power of base.
     """
     n = len(a)
@@ -413,4 +423,4 @@ def ltt_matvec_fft(a, v, base: int | None = None, ops: OpCounter | None = None):
         if ops is not None:
             ops.add(1)
         return [complex(a[0]) * complex(v[0])]
-    return toeplitz_matvec_embed(ToeplitzSpec.from_lower_column(a), v, base, ops)
+    return toeplitz_matvec_split(ToeplitzSpec.from_lower_column(a), v, base, ops)

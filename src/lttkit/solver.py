@@ -51,9 +51,10 @@ the shifts i = 1..base-1 (a plain shift for base 2), and one length-m
 inverse transform of the first m products A*H yields the next column. H
 is kept for the second sweep, where each step is one length-m transform of
 the vector and one length-N inverse transform of its product with H. So a
-level costs two transforms in each sweep, plus one length-N inverse
-transform that writes out the companion column for base >= 3.
-SolveTrace counts every transform multiplication and pointwise product,
+level costs two transforms in each sweep. A base >= 3 companion column is
+written out only for the shortest level, where the second sweep starts;
+the others are built when SolveTrace.hat_columns is first read. SolveTrace
+counts every transform multiplication and pointwise product of the solve,
 O(n log n) in total.
 
 The companion columns are built from products of the input column with
@@ -72,6 +73,7 @@ import cmath
 import math
 from dataclasses import dataclass, replace
 from fractions import Fraction
+from functools import partial
 
 from . import fft, series
 from .opcount import OpCounter
@@ -98,12 +100,26 @@ class SparsifyResult:
 
 @dataclass(frozen=True)
 class SolveTrace:
-    """Companion columns and cost of one inversion, longest level first."""
+    """Companion columns and cost of one inversion, longest level first.
+
+    ``hat_columns`` is built on first read: a complex level at base >= 3
+    keeps only its length-m column and writes out its companion column then,
+    bit-identical to an eager write-out. mult_count counts the solve's own
+    work, not that of reading hat_columns.
+    """
 
     base: int
     levels: int
-    hat_columns: list
+    _hats: list  # per level its companion column, or a call that builds it
     mult_count: int
+
+    @property
+    def hat_columns(self) -> list:
+        hats = self._hats
+        for j, hat in enumerate(hats):
+            if callable(hat):
+                hats[j] = hat()
+        return hats
 
     def report(self) -> str:
         return f"base={self.base} levels={self.levels} mult_count={self.mult_count}"
@@ -279,6 +295,17 @@ def _hat_from_samples(h, s, m, base, ops):
     return hat
 
 
+def _complex_hat(col, base):
+    """Companion column of a complex level at base >= 3, rebuilt from its column.
+
+    The level is deterministic, so re-running it gives the samples the solve
+    used; its work goes to a counter of its own.
+    """
+    ops = OpCounter()
+    h, s, _ = _graeffe_level(col, base, ops)
+    return _hat_from_samples(h, s, len(col), base, ops)
+
+
 def _apply_hat_samples(h, s, w, base, ops):
     """Coefficients 0..m-1 of hat(z) * w(z**base), hat sampled by h on |z| = s.
 
@@ -297,6 +324,17 @@ def _apply_hat_samples(h, s, w, base, ops):
 
 
 def _require_finite(values, name):
+    """Raise ValueError naming the first NaN or infinite entry of a complex operand.
+
+    Rational operands are finite by construction and are not passed here.
+    cmath.isfinite raises OverflowError on an int beyond the double range,
+    so a column mixing huge ints with floats takes the per-entry loop.
+    """
+    try:
+        if all(map(cmath.isfinite, values)):
+            return
+    except OverflowError:
+        pass
     for i, v in enumerate(values):
         if isinstance(v, (complex, float)) and not cmath.isfinite(v):
             raise ValueError(f"non-finite {name} entry at index {i}: {v!r}")
@@ -334,7 +372,8 @@ def invert_first_column(a, base: int, ops: OpCounter | None = None):
     field = field_of(a)
     if field == RATIONAL and base > 3:
         raise ValueError(f"no exact companion form for base {base}; use complex scalars")
-    _require_finite(a, "column")
+    if field == COMPLEX:
+        _require_finite(a, "column")
     counter = ops if ops is not None else OpCounter()
     start = counter.mults
     one, zero = (Fraction(1), Fraction(0)) if field == RATIONAL else (1 + 0j, 0j)
@@ -345,7 +384,7 @@ def invert_first_column(a, base: int, ops: OpCounter | None = None):
     if field == COMPLEX:
         col += [zero] * (_power_at_least(n, base) - n)
 
-    hats = []  # per level, its leading m = len(col) coefficients
+    hats = []  # per level, its leading m = len(col) coefficients, or a call that builds them
     steps = []  # per level: the companion column (rational) or its samples (H, s) (complex), None if skipped
     while len(col) > 1:
         m = len(col)
@@ -353,7 +392,12 @@ def invert_first_column(a, base: int, ops: OpCounter | None = None):
             hat, nxt, step = [col[0]] + [zero] * (m - 1), col[::base], None
         elif field == COMPLEX:
             h, s, nxt = _graeffe_level(col, base, counter)
-            hat = _hat_base2(col) if base == 2 else _hat_from_samples(h, s, m, base, counter)
+            if base == 2:
+                hat = _hat_base2(col)
+            elif len(nxt) == 1:  # the shortest column, where the second sweep starts
+                hat = _hat_from_samples(h, s, m, base, counter)
+            else:
+                hat = partial(_complex_hat, col, base)
             step = (h, s)
         else:
             level = sparsify_step(col + [zero] * (-m % base), base, counter)
@@ -379,7 +423,7 @@ def invert_first_column(a, base: int, ops: OpCounter | None = None):
     x = w[:n] if a0 == 1 else [v / a0 for v in w[:n]]
     if field == COMPLEX and not all(map(cmath.isfinite, x)):
         raise OverflowError("the inverse's first column leaves the double range")
-    trace = SolveTrace(base=base, levels=len(hats), hat_columns=hats, mult_count=counter.mults - start)
+    trace = SolveTrace(base=base, levels=len(hats), _hats=hats, mult_count=counter.mults - start)
     return x, trace
 
 
@@ -387,8 +431,8 @@ def ltt_solve_fast(a, f, base: int, with_trace: bool = False):
     """Solve L(a) x = f: invert the first column, then one l.t.T. product.
 
     A complex or float entry in either operand makes the whole solve
-    complex. The product runs in the transform domain for a complex column,
-    on both operands zero-padded to the next power of the base, and as
+    complex. The product is fft.ltt_matvec_fft for a complex column, on
+    both operands zero-padded to the next power of the base, and as
     _apply_hat for a rational one: one Kronecker-substitution product, or
     one per residue class when the inverse column is zero off the multiples
     of the base. With ``with_trace`` the returned pair carries a SolveTrace
@@ -397,8 +441,8 @@ def ltt_solve_fast(a, f, base: int, with_trace: bool = False):
     """
     if len(f) != len(a):
         raise ValueError(f"length mismatch: column {len(a)}, rhs {len(f)}")
-    _require_finite(f, "rhs")
     if field_of(f) == COMPLEX:
+        _require_finite(f, "rhs")
         a = [complex(v) for v in a]
     ops = OpCounter()
     inv_col, trace = invert_first_column(a, base, ops)

@@ -172,8 +172,22 @@ def test_neg_circulant_matches_dense():
         assert max_rel_err(got, dense_neg_circulant_matvec(a, v)) < 1e-10
 
 
+@pytest.mark.parametrize("n, base", [(2**14, 2), (3**8, 3)])
+def test_neg_circulant_large_order_accuracy(n, base):
+    # C_-(e_k) v is v shifted up by k with the wrapped entries negated, exactly.
+    # Building rho**j by repeated multiplication drifted by 6.5e-13 at 2**14
+    # and put 1.8e-12 (2**14) and 2.2e-13 (3**8) into this product.
+    rng = random.Random(n)
+    v = _rand_vec(rng, n)
+    for k in (1, n // 3, n - 1):
+        row = [0j] * n
+        row[k] = 1 + 0j
+        want = [v[i + k] if i + k < n else -v[i + k - n] for i in range(n)]
+        assert max_abs_err(neg_circulant_matvec(row, v, base), want) < 2e-14, (n, k)
+
+
 @pytest.mark.parametrize(
-    "n, base, neg_mults, split_mults", [(8, 2, 62, 93), (27, 3, 569, 1031), (25, 5, 677, 1255)]
+    "n, base, neg_mults, split_mults", [(8, 2, 59, 90), (27, 3, 556, 1018), (25, 5, 665, 1243)]
 )
 def test_neg_circulant_and_split_op_counts(n, base, neg_mults, split_mults):
     rng = random.Random(n)
@@ -264,10 +278,21 @@ def test_ltt_matvec_fft_matches_naive():
     rng = random.Random(59)
     from lttkit.series import ltt_matvec_naive
 
-    for n, base in ((16, 2), (27, 3)):
+    for n, base in ((16, 2), (27, 3), (1024, 2), (729, 3), (625, 5), (49, 7), (343, 7)):
         a = [1 + 0j] + _rand_vec(rng, n - 1, 0.5)
         v = _rand_vec(rng, n)
-        assert max_rel_err(ltt_matvec_fft(a, v, base), ltt_matvec_naive(a, v)) < 1e-10
+        assert max_rel_err(ltt_matvec_fft(a, v, base), ltt_matvec_naive(a, v)) < 1e-12, (n, base)
+
+
+def test_ltt_matvec_fft_stays_at_length_n():
+    # the split's six length-n transforms undercut the embedding's three of length base*n
+    rng = random.Random(61)
+    a = _rand_vec(rng, 625)
+    v = _rand_vec(rng, 625)
+    fft_ops, embed_ops = OpCounter(), OpCounter()
+    ltt_matvec_fft(a, v, 5, fft_ops)
+    toeplitz_matvec_embed(ToeplitzSpec.from_lower_column(a), v, 5, embed_ops)
+    assert fft_ops.mults < embed_ops.mults
 
 
 def test_embed_rejects_non_power():

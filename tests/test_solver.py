@@ -265,6 +265,35 @@ def test_invert_complex_fft_backend_accuracy():
         assert max_rel_err(trace.hat_columns[0], rotation_hat(a, base)) < 1e-12, (base, n)
 
 
+@pytest.mark.parametrize("base", range(2, 8))
+def test_hat_columns_built_on_read(base):
+    # a complex level at base >= 3 writes out its companion column only when
+    # hat_columns is read; each column is the rotation product of its level's
+    # column (checked up to length 625, where the oracle stays quick), and
+    # reading them leaves mult_count as the solve left it
+    rng = random.Random(base)
+    for n in (base**2, base**3, base**4, base**2 + 3):
+        a = [1 + 0j] + [complex(rng.random(), rng.random()) * 0.8**k for k in range(1, n)]
+        _, trace = invert_first_column(a, base)
+        count = trace.mult_count
+        hats = trace.hat_columns
+        assert trace.hat_columns is hats and trace.mult_count == count
+        col = a + [0j] * (len(hats[0]) - n)
+        for hat in hats:
+            if len(col) <= 625:
+                assert max_rel_err(hat, rotation_hat(col, base)) < 1e-12, (base, n, len(col))
+            col = ltt_matvec_naive(col, hat)[::base]
+
+
+def test_complex_mult_count_pins():
+    # base >= 3 spends no length-base*m inverse transform on a companion column
+    # that only hat_columns reads (the eager write-out cost 12128 and 40802 here)
+    rng = random.Random(103)
+    for base, n, count in ((3, 81, 8813), (5, 125, 29250)):
+        _, trace = invert_first_column(_cx_column(rng, n, scale=0.3), base)
+        assert trace.mult_count == count, (base, n)
+
+
 def test_invert_complex_naive_backend():
     # flat 0.35-scaled columns, checked against forward substitution
     rng = random.Random(107)
