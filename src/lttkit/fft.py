@@ -381,7 +381,6 @@ def toeplitz_matvec_split(spec: ToeplitzSpec, v, base: int | None = None, ops: O
         raise ValueError(f"length mismatch: matrix {n}, vector {len(v)}")
     if base is None:
         base = infer_base(n)
-    _check_power(n, base)
     d = spec.diags  # t_k sits at d[n - 1 + k]
     lo = [complex(t) for t in d[n - 1 :: -1]]  # t_{-i}
     hi = [0j] + [complex(t) for t in d[: n - 1 : -1]]  # t_{n-i}, with t_n = 0
@@ -417,8 +416,6 @@ def ltt_matvec_fft(a, v, base: int | None = None, ops: OpCounter | None = None):
     n = len(a)
     if len(v) != n:
         raise ValueError(f"length mismatch: column {n}, vector {len(v)}")
-    if base is None:
-        base = infer_base(n)
     if n == 1:
         if ops is not None:
             ops.add(1)

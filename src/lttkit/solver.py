@@ -10,10 +10,10 @@ in two sweeps:
   ceil(m/base). After ceil(log_base n) levels the column is [1] and the
   accumulated left factors have turned the matrix into the identity.
 * Second sweep: the inverse's first column is the product of the collected
-  companion matrices applied to e_1, evaluated right to left with every
+  companion matrices applied to e_1, evaluated right to left from the
+  length-1 column [1]. Every level is applied the same way, as a
   matrix-vector product at its own block size (the zero structure of the
-  intermediate vectors keeps each step cheap), each truncated to its
-  level's length m.
+  intermediate vectors keeps each step cheap) truncated to its length m.
 
 The first m entries of 1/a(z) depend only on a mod z**m, and the next
 column is needed only mod z**ceil(m/base): this is Schoenhage's truncated
@@ -51,11 +51,11 @@ the shifts i = 1..base-1 (a plain shift for base 2), and one length-m
 inverse transform of the first m products A*H yields the next column. H
 is kept for the second sweep, where each step is one length-m transform of
 the vector and one length-N inverse transform of its product with H. So a
-level costs two transforms in each sweep. A base >= 3 companion column is
-written out only for the shortest level, where the second sweep starts;
-the others are built when SolveTrace.hat_columns is first read. SolveTrace
-counts every transform multiplication and pointwise product of the solve,
-O(n log n) in total.
+level costs two transforms in each sweep. No complex companion column is
+written out during a solve. SolveTrace keeps each level's column, in either
+field, and writes the companion columns out when hat_columns is first read.
+SolveTrace counts every transform multiplication and pointwise product of
+the solve, O(n log n) in total.
 
 The companion columns are built from products of the input column with
 itself, so their dynamic range roughly squares at every level. Exact
@@ -73,7 +73,7 @@ import cmath
 import math
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from functools import partial
+from functools import cached_property
 
 from . import fft, series
 from .opcount import OpCounter
@@ -100,26 +100,26 @@ class SparsifyResult:
 
 @dataclass(frozen=True)
 class SolveTrace:
-    """Companion columns and cost of one inversion, longest level first.
+    """Level columns and cost of one inversion, longest level first.
 
-    ``hat_columns`` is built on first read: a complex level at base >= 3
-    keeps only its length-m column and writes out its companion column then,
-    bit-identical to an eager write-out. mult_count counts the solve's own
-    work, not that of reading hat_columns.
+    ``hat_columns`` writes the levels' companion columns out on first read.
+    mult_count counts the solve's own work, not that of reading them.
     """
 
     base: int
-    levels: int
-    _hats: list  # per level its companion column, or a call that builds it
+    _cols: list  # per level the column it nullified
     mult_count: int
 
     @property
+    def levels(self) -> int:
+        return len(self._cols)
+
+    @cached_property
     def hat_columns(self) -> list:
-        hats = self._hats
-        for j, hat in enumerate(hats):
-            if callable(hat):
-                hats[j] = hat()
-        return hats
+        # the first column carries the solve's field: a complex one holds a
+        # complex or float entry, which a skipped level's subsample may drop
+        field = field_of(self._cols[0]) if self._cols else RATIONAL
+        return [_companion(col, self.base, field) for col in self._cols]
 
     def report(self) -> str:
         return f"base={self.base} levels={self.levels} mult_count={self.mult_count}"
@@ -288,47 +288,47 @@ def _graeffe_level(col, base, ops):
     return h, s, nxt
 
 
-def _hat_from_samples(h, s, m, base, ops):
-    """Leading m coefficients of the companion column sampled by h on |z| = s."""
-    hat = _rescaled(fft.idft(h, fft.plan_for(len(h), base), ops)[:m], 1 / s, ops)
-    hat[0] = 1 + 0j
-    return hat
-
-
-def _complex_hat(col, base):
-    """Companion column of a complex level at base >= 3, rebuilt from its column.
-
-    The level is deterministic, so re-running it gives the samples the solve
-    used; its work goes to a counter of its own.
-    """
-    ops = OpCounter()
-    h, s, _ = _graeffe_level(col, base, ops)
-    return _hat_from_samples(h, s, len(col), base, ops)
-
-
 def _apply_hat_samples(h, s, w, base, ops):
     """Coefficients 0..m-1 of hat(z) * w(z**base), hat sampled by h on |z| = s.
 
-    h has length N = base*m and w length m/base. w((s z)**base) at the N-th
-    roots of unity is the length-m transform of w(s**base z) tiled base
+    h has length N = base*m and w length ceil(m/base). w((s z)**base) at the
+    N-th roots of unity is the length-m transform of w(s**base z) tiled base
     times; the product has degree below N, so the cyclic inverse transform
-    does not alias.
+    does not alias. hat[0] is 1, so coefficient 0 is w[0] exactly; with
+    w = [1] the result is the companion column itself.
     """
     n = len(h)
     m = n // base
-    w = _rescaled(w, s**base, ops)
-    ws = fft.dft(w + [0j] * (m - len(w)), fft.plan_for(m, base), ops)
+    ws = fft.dft(_rescaled(w, s**base, ops) + [0j] * (m - len(w)), fft.plan_for(m, base), ops)
     ops.add(n)
     out = fft.idft([p * q for p, q in zip(h, ws * base)], fft.plan_for(n, base), ops)[:m]
-    return _rescaled(out, 1 / s, ops)
+    out = _rescaled(out, 1 / s, ops)
+    out[0] = w[0]
+    return out
+
+
+def _companion(col, base, field):
+    """Leading len(col) coefficients of a level's companion column, as the solve applied it.
+
+    A complex level at base >= 3 is re-run on a counter of its own, which
+    gives the samples the solve used, and applied to [1].
+    """
+    if _already_sparse(col, base):
+        return [col[0]] + [Fraction(0) if field == RATIONAL else 0j] * (len(col) - 1)
+    if field == RATIONAL:
+        return sparsify_hat(col, base)
+    if base == 2:
+        return _hat_base2(col)
+    ops = OpCounter()
+    h, s, _ = _graeffe_level(col, base, ops)
+    return _apply_hat_samples(h, s, [1 + 0j], base, ops)
 
 
 def _require_finite(values, name):
-    """Raise ValueError naming the first NaN or infinite entry of a complex operand.
+    """Raise ValueError naming the first entry that is not a finite double.
 
-    Rational operands are finite by construction and are not passed here.
-    cmath.isfinite raises OverflowError on an int beyond the double range,
-    so a column mixing huge ints with floats takes the per-entry loop.
+    cmath.isfinite raises OverflowError on an int or Fraction beyond the
+    double range, so such an operand takes the per-entry loop.
     """
     try:
         if all(map(cmath.isfinite, values)):
@@ -336,8 +336,12 @@ def _require_finite(values, name):
     except OverflowError:
         pass
     for i, v in enumerate(values):
-        if isinstance(v, (complex, float)) and not cmath.isfinite(v):
-            raise ValueError(f"non-finite {name} entry at index {i}: {v!r}")
+        try:
+            finite = cmath.isfinite(complex(v))
+        except OverflowError:
+            finite = False
+        if not finite:
+            raise ValueError(f"{name} entry at index {i} is not a finite double: {v!r}")
 
 
 def _power_at_least(n, base):
@@ -354,9 +358,10 @@ def invert_first_column(a, base: int, ops: OpCounter | None = None):
     2 and 3) with Kronecker-substitution products, each level and assembly
     step truncated to its own length m; a complex column is zero-padded
     once to the next power of the base and runs every level and every
-    assembly step in the transform domain, at any base. NaN or infinite
-    entries raise ValueError; a complex inverse column that leaves the
-    double range raises OverflowError.
+    assembly step in the transform domain, at any base. An entry of a
+    complex column that is NaN, infinite or beyond the double range raises
+    ValueError; a complex inverse column that leaves the double range
+    raises OverflowError.
 
     A column whose off-multiple entries are already zero skips its
     nullification level, the shorter column is read off directly.
@@ -384,36 +389,28 @@ def invert_first_column(a, base: int, ops: OpCounter | None = None):
     if field == COMPLEX:
         col += [zero] * (_power_at_least(n, base) - n)
 
-    hats = []  # per level, its leading m = len(col) coefficients, or a call that builds them
-    steps = []  # per level: the companion column (rational) or its samples (H, s) (complex), None if skipped
+    # per level its column and its step: the companion column (rational),
+    # its samples (H, s) (complex), or None if the level is skipped
+    records = []
     while len(col) > 1:
-        m = len(col)
         if _already_sparse(col, base):
-            hat, nxt, step = [col[0]] + [zero] * (m - 1), col[::base], None
+            step, nxt = None, col[::base]
         elif field == COMPLEX:
             h, s, nxt = _graeffe_level(col, base, counter)
-            if base == 2:
-                hat = _hat_base2(col)
-            elif len(nxt) == 1:  # the shortest column, where the second sweep starts
-                hat = _hat_from_samples(h, s, m, base, counter)
-            else:
-                hat = partial(_complex_hat, col, base)
             step = (h, s)
         else:
-            level = sparsify_step(col + [zero] * (-m % base), base, counter)
-            hat = step = level.hat[:m]
-            nxt = level.next
-        hats.append(hat)
-        steps.append(step)
+            level = sparsify_step(col + [zero] * (-len(col) % base), base, counter)
+            step, nxt = level.hat[: len(col)], level.next
+        records.append((col, step))
         col = nxt
 
-    # Apply the companion matrices to e_1 right to left; the first product
-    # is just the shortest companion column itself, a skipped level is a
-    # pure spread. Each step keeps its level's m entries.
-    w = list(hats[-1] if hats else col)
-    for hat, step in zip(hats[-2::-1], steps[-2::-1]):
+    # Apply the companion matrices right to left, starting from the length-1
+    # column [1]; a skipped level is a pure spread. Each step keeps its
+    # level's m entries.
+    w = col
+    for level_col, step in reversed(records):
         if step is None:
-            spread = [zero] * len(hat)
+            spread = [zero] * len(level_col)
             spread[::base] = w
             w = spread
         elif field == COMPLEX:
@@ -423,7 +420,7 @@ def invert_first_column(a, base: int, ops: OpCounter | None = None):
     x = w[:n] if a0 == 1 else [v / a0 for v in w[:n]]
     if field == COMPLEX and not all(map(cmath.isfinite, x)):
         raise OverflowError("the inverse's first column leaves the double range")
-    trace = SolveTrace(base=base, levels=len(hats), _hats=hats, mult_count=counter.mults - start)
+    trace = SolveTrace(base=base, _cols=[c for c, _ in records], mult_count=counter.mults - start)
     return x, trace
 
 
@@ -436,13 +433,16 @@ def ltt_solve_fast(a, f, base: int, with_trace: bool = False):
     _apply_hat for a rational one: one Kronecker-substitution product, or
     one per residue class when the inverse column is zero off the multiples
     of the base. With ``with_trace`` the returned pair carries a SolveTrace
-    whose count includes the final product. NaN or infinite entries in the
-    column or the right-hand side raise ValueError.
+    whose count includes the final product. In a complex solve, an entry
+    of the column or the right-hand side that is NaN, infinite or beyond
+    the double range raises ValueError.
     """
     if len(f) != len(a):
         raise ValueError(f"length mismatch: column {len(a)}, rhs {len(f)}")
-    if field_of(f) == COMPLEX:
+    if COMPLEX in (field_of(a), field_of(f)):
+        _require_finite(a, "column")  # before complex(v) below, which would overflow
         _require_finite(f, "rhs")
+    if field_of(f) == COMPLEX:
         a = [complex(v) for v in a]
     ops = OpCounter()
     inv_col, trace = invert_first_column(a, base, ops)

@@ -1,13 +1,46 @@
-"""Package hygiene: the stdlib-only import closure and the oracles' independence."""
+"""Package hygiene: the stdlib-only import closure, the oracles' independence and the public API."""
 
 import ast
+import importlib
 import os
+import pkgutil
 import subprocess
 import sys
 from pathlib import Path
 
+import lttkit
+
 TESTS = Path(__file__).resolve().parent
 SRC = TESTS.parent / "src"
+
+# Every public name, per module that declares __all__. A refactor that drops
+# or renames one changes the API and must change this list on purpose.
+PUBLIC = {
+    "lttkit": [
+        "BernoulliSystem", "BinomialSystem", "DftPlan", "METHODS", "OpCounter", "SingularMatrixError",
+        "SolveTrace", "SparsifyResult", "ToeplitzSpec", "bernoulli_numbers", "binomial_system",
+        "circulant_matvec", "convert_type", "dft", "field_of", "format_scalar", "gen_system", "idft",
+        "invert_first_column", "ltt_compose", "ltt_matvec_naive", "ltt_solve_fast", "ltt_solve_forward",
+        "neg_circulant_matvec", "neg_root", "parse_scalar", "plan_for", "principal_root", "ramanujan_rhs",
+        "read_vector", "scaling_diag", "sparsify_hat", "sparsify_step", "spread", "tartaglia_check",
+        "toeplitz_matvec_embed", "toeplitz_matvec_split", "unspread", "von_staudt_check", "write_vector",
+        "zeta_consistency",
+    ],
+    "lttkit.bernoulli": [
+        "BernoulliSystem", "BinomialSystem", "ConversionError", "FAMILIES", "KINDS", "METHODS",
+        "bernoulli_numbers", "binomial_system", "convert_type", "gen_system", "ramanujan_rhs",
+        "scaling_diag", "tartaglia_check", "von_staudt_check", "zeta_consistency",
+    ],
+    "lttkit.fft": [
+        "DftPlan", "ToeplitzSpec", "circulant_embedding_row", "circulant_matvec", "dft", "idft",
+        "ltt_matvec_fft", "neg_circulant_matvec", "plan_for", "toeplitz_matvec_embed",
+        "toeplitz_matvec_naive", "toeplitz_matvec_split",
+    ],
+    "lttkit.solver": [
+        "SolveTrace", "SparsifyResult", "invert_first_column", "ltt_solve_fast", "sparsify_hat",
+        "sparsify_step",
+    ],
+}
 
 
 def test_import_loads_only_stdlib_modules():
@@ -36,3 +69,17 @@ def test_oracles_import_nothing_from_lttkit():
             imported.add(node.module or "")
     assert imported
     assert not {name for name in imported if name.split(".")[0] == "lttkit"}
+
+
+def test_public_names_are_pinned_and_resolve():
+    modules = {"lttkit": lttkit}
+    for info in pkgutil.iter_modules(lttkit.__path__, "lttkit."):
+        module = importlib.import_module(info.name)
+        if hasattr(module, "__all__"):
+            modules[info.name] = module
+    assert sorted(modules) == sorted(PUBLIC)
+    for name, module in modules.items():
+        assert sorted(module.__all__) == PUBLIC[name], name
+        assert len(set(module.__all__)) == len(module.__all__), name
+        for attr in module.__all__:
+            assert hasattr(module, attr), (name, attr)

@@ -285,11 +285,51 @@ def test_hat_columns_built_on_read(base):
             col = ltt_matvec_naive(col, hat)[::base]
 
 
+def test_hat_columns_built_on_read_rational():
+    # a rational trace keeps its level columns too: reading hat_columns does
+    # no counted work, and an order-1 solve has no level and no column
+    rng = random.Random(71)
+    for base in (2, 3):
+        for n in (1, 2, 7, 27, 64):
+            for a in (_rat_column(rng, n), [v if i % base == 0 else 0 for i, v in enumerate(_rat_column(rng, n))]):
+                _, trace = invert_first_column(a, base)
+                count = trace.mult_count
+                assert trace.levels == len(trace.hat_columns) and trace.mult_count == count, (base, n)
+    assert invert_first_column([Fraction(3)], 2)[1].hat_columns == []
+
+
+def test_hat_columns_keep_the_solve_field():
+    # a skipped level's subsample can drop every float of a complex column;
+    # the level below still ran in the transform domain, and its companion
+    # column is written out as complex, at a base with no exact form
+    a = [1] + [0] * 15
+    a[4], a[15] = 3, 0.0
+    x, trace = invert_first_column(a, 4)
+    hats = trace.hat_columns
+    assert hats[0] == [1] + [0j] * 15
+    assert all(type(v) is complex for v in hats[1])
+    assert max_rel_err(hats[1], rotation_hat([1, 3, 0, 0], 4)) < 1e-12
+    assert max_rel_err(x, ltt_solve_forward([complex(v) for v in a], [1 + 0j] + [0j] * 15)) < 1e-12
+
+
+@pytest.mark.parametrize("base", range(2, 8))
+def test_complex_head_is_exact_reciprocal(base):
+    # the assembly starts from [1] and every step keeps coefficient 0, so
+    # x[0] is 1 / a0 to the last bit
+    rng = random.Random(base + 40)
+    for n in (base**2, base**3, base**2 + 3):
+        for a0 in (1 + 0j, complex(rng.uniform(0.5, 2), rng.uniform(-1, 1))):
+            a = [a0] + [complex(rng.random(), rng.random()) * 0.8**k for k in range(1, n)]
+            x, _ = invert_first_column(a, base)
+            assert x[0] == 1 / a0, (base, n, a0)
+
+
 def test_complex_mult_count_pins():
     # base >= 3 spends no length-base*m inverse transform on a companion column
-    # that only hat_columns reads (the eager write-out cost 12128 and 40802 here)
+    # that only hat_columns reads (the eager write-out cost 12128 and 40802
+    # here); the assembly applies the shortest level like the others, from [1]
     rng = random.Random(103)
-    for base, n, count in ((3, 81, 8813), (5, 125, 29250)):
+    for base, n, count in ((3, 81, 8828), (5, 125, 29293)):
         _, trace = invert_first_column(_cx_column(rng, n, scale=0.3), base)
         assert trace.mult_count == count, (base, n)
 
@@ -401,6 +441,22 @@ def test_solve_fast_rejects_non_finite_entries():
     # finite entries whose inverse column is out of range: 1e200**2 overflows
     with pytest.raises(OverflowError):
         invert_first_column([1 + 0j, -1e200, 0j, 0j], 2)
+
+
+def test_entries_beyond_double_range_raise_value_error():
+    # an int or Fraction in a complex solve that no double holds is named at
+    # the boundary, not met as an OverflowError inside a level or a conversion
+    huge = 10**400
+    cases = (
+        (lambda: invert_first_column([1, huge, 0.5, 0.25], 2), "column entry at index 1"),
+        (lambda: invert_first_column([1, Fraction(huge, 3), 0.5, 0.25], 3), "column entry at index 1"),
+        (lambda: ltt_solve_fast([1, huge, 0, 0], [0.5, 0, 0, 0], 2), "column entry at index 1"),
+        (lambda: ltt_solve_fast([1, 0, 0, 0], [huge, 0.5, 0, 0], 2), "rhs entry at index 0"),
+        (lambda: ltt_solve_fast([1, 0.5, 0, 0], [0, 0, huge, 0], 2), "rhs entry at index 2"),
+    )
+    for call, where in cases:
+        with pytest.raises(ValueError, match=where):
+            call()
 
 
 def test_solve_fast_complex_non_power_lengths():
