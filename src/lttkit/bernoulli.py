@@ -184,11 +184,15 @@ def binomial_system(parity: str, n: int) -> BinomialSystem:
 
 
 def _solve_lower(rows, rhs):
-    x = []
-    for i, row in enumerate(rows):
-        s = rhs[i] - sum(row[j] * x[j] for j in range(i))
-        x.append(s / row[i])
-    return x
+    return series._substitute(_integer_rows(rows, rhs))
+
+
+def _integer_rows(rows, rhs):
+    # each row and its right-hand side scaled by the row's lcm denominator
+    for row, v in zip(rows, rhs):
+        d = math.lcm(*(c.denominator for c in row))
+        ints = [c.numerator * (d // c.denominator) for c in row]
+        yield ints[:-1], ints[-1], d * v.numerator, v.denominator
 
 
 def _zeros(n):

@@ -77,6 +77,8 @@ def cmd_bernoulli(args) -> int:
 
 
 def cmd_solve(args) -> int:
+    if args.trace and args.solver != "fast":
+        raise ValueError("--trace needs --solver fast")
     coeffs, rhs = _load_vectors((args.coeffs, args.rhs), args.field)
     if len(coeffs) != len(rhs):
         raise ValueError(f"coefficient length {len(coeffs)} != rhs length {len(rhs)}")
@@ -344,7 +346,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--base", type=int, default=2)
     p.add_argument("--field", choices=(scalars.RATIONAL, scalars.COMPLEX), default=None)
     p.add_argument("--solver", choices=("forward", "fast"), default="forward")
-    p.add_argument("--trace", action="store_true")
+    p.add_argument("--trace", action="store_true", help="print the solve trace; needs --solver fast")
     p.add_argument("--out")
     p.set_defaults(func=cmd_solve)
 

@@ -89,3 +89,23 @@ def neg_root(n: int) -> complex:
     if n < 1:
         raise ValueError("root order must be >= 1")
     return cmath.exp(1j * cmath.pi / n)
+
+
+def _require_finite(values, name):
+    """Raise ValueError naming the first entry that is not a finite double.
+
+    cmath.isfinite raises OverflowError on an int or Fraction beyond the
+    double range, so such an operand takes the per-entry loop.
+    """
+    try:
+        if all(map(cmath.isfinite, values)):
+            return
+    except OverflowError:
+        pass
+    for i, v in enumerate(values):
+        try:
+            finite = cmath.isfinite(complex(v))
+        except OverflowError:
+            finite = False
+        if not finite:
+            raise ValueError(f"{name} entry at index {i} is not a finite double: {v!r}")

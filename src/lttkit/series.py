@@ -7,9 +7,15 @@ product here is the upper-left n x n block of the corresponding semi-infinite
 product, i.e. plain series multiplication mod ``z**n``.
 
 The quadratic routines in this module are exact over rationals and serve as
-the reference implementations (and test oracles) for every fast path in the
-package. ltt_matvec_kronecker is the exact product the solver runs on
-rationals; ltt_matvec_naive is its oracle.
+the reference implementations for every fast path in the package.
+ltt_matvec_kronecker is the exact product the solver runs on rationals;
+ltt_matvec_naive is its oracle. ltt_solve_forward is the baseline the fast
+solver is judged against, so it is not a per-term Fraction loop: its
+_substitute kernel keeps the column and the unknowns as integer numerators
+over running lcm denominators, one integer dot product and one Fraction
+per row, and also solves the dense binomial systems of the bernoulli
+module. The per-term Fraction definition it must agree with, values and
+types, is dense_forward_substitution in tests/oracles.py.
 """
 
 from __future__ import annotations
@@ -19,7 +25,7 @@ from fractions import Fraction
 from operator import mul
 
 from .opcount import OpCounter
-from .scalars import COMPLEX, RATIONAL, field_of, format_scalar, parse_scalar
+from .scalars import COMPLEX, RATIONAL, _require_finite, field_of, format_scalar, parse_scalar
 
 
 class SingularMatrixError(ZeroDivisionError):
@@ -104,29 +110,95 @@ def ltt_matvec_kronecker(a, v, ops: OpCounter | None = None):
 ltt_compose = ltt_matvec_naive
 
 
+def _extend_denominator(values, den, q):
+    """Integer numerators ``values`` over ``den``, brought over a multiple of ``q``.
+
+    Returns (values, den) unchanged when q divides den, else every value
+    times the one factor that makes den the lcm of den and q.
+    """
+    if den % q:
+        scale = q // math.gcd(den, q)
+        return [v * scale for v in values], den * scale
+    return values, den
+
+
+def _substitute(rows, ints=0):
+    """Exact forward substitution on integer rows: x_i = (g_i - r_i . x) / d_i.
+
+    ``rows`` yields (r_i, d_i, gn_i, gd_i): the integer coefficients of
+    x_0..x_{i-1}, the nonzero integer diagonal, and g_i = gn_i / gd_i, not
+    necessarily in lowest terms. The unknowns are kept as integer
+    numerators over one running denominator, the lcm of the denominators
+    of x so far; an x_i whose denominator does not divide it rescales every
+    numerator once. So each row costs one integer dot product and one
+    Fraction. The first ``ints`` entries, integers by the caller's
+    guarantee, are returned as ints and the rest as Fractions.
+    """
+    x, nums, den = [], [], 1
+    for i, (r, d, gn, gd) in enumerate(rows):
+        s = sum(map(mul, r, nums))
+        if i < ints:  # den and gd are still 1
+            p = (gn - s) // d
+            x.append(p)
+            nums.append(p)
+            continue
+        xi = Fraction(gn * den - gd * s, gd * den * d)
+        x.append(xi)
+        nums, den = _extend_denominator(nums, den, xi.denominator)
+        nums.append(xi.numerator * (den // xi.denominator))
+    return x
+
+
+def _toeplitz_rows(a, f):
+    # Row i of L(a) x = f for _substitute: a_i..a_1 and a_0 as integer
+    # numerators over the lcm of the denominators of a_0..a_i, extended as
+    # the rows reach new entries, so early rows multiply short integers.
+    # The list yielded is updated in place for the next row.
+    da = a[0].denominator
+    rev = []  # a_i..a_1 over da
+    for i, v in enumerate(f):
+        if i:
+            rev, da = _extend_denominator(rev, da, a[i].denominator)
+            rev.insert(0, a[i].numerator * (da // a[i].denominator))
+        yield rev, a[0].numerator * (da // a[0].denominator), da * v.numerator, v.denominator
+
+
 def ltt_solve_forward(a, f):
     """Solve the l.t.T. system with first column ``a`` by forward substitution.
 
-    Exact over rationals, O(n^2), including an int column whose leading
-    coefficient is not 1. The quadratic oracle against which the fast solver
-    is checked.
+    O(n^2). Over rationals it is exact and runs on integers: row i holds
+    a_0..a_i as integer numerators over the lcm of their denominators, and
+    is one _substitute step, an integer dot product and one Fraction. An
+    int column with head 1 and an int right-hand side never leaves int
+    arithmetic. Entry i is an int when the head is 1 and f_0..f_i and
+    a_1..a_i are ints, otherwise a Fraction, as in per-term Fraction
+    arithmetic. A float or complex entry in either operand makes the solve
+    complex, by the plain per-term loop; then an entry of either operand
+    that is NaN, infinite or beyond the double range raises ValueError.
     """
     n = len(a)
     if len(f) != n:
         raise ValueError(f"length mismatch: column {n}, rhs {len(f)}")
     if not a:
         raise ValueError("empty column")
+    complex_solve = COMPLEX in (field_of(a), field_of(f))
+    if complex_solve:
+        _require_finite(a, "column")
+        _require_finite(f, "rhs")
     a0 = a[0]
     if a0 == 0:
         raise SingularMatrixError("leading coefficient is zero")
-    if isinstance(a0, int):
-        a0 = Fraction(a0)  # int / int would give floats
-    ar = a[::-1]
-    x = []
-    for i in range(n):
-        s = f[i] - sum(map(mul, ar[n - 1 - i : n - 1], x))
-        x.append(s if a0 == 1 else s / a0)
-    return x
+    if complex_solve:
+        if isinstance(a0, int):
+            a0 = Fraction(a0)  # int / int would give floats
+        ar = a[::-1]
+        x = []
+        for i in range(n):
+            s = f[i] - sum(map(mul, ar[n - 1 - i : n - 1], x))
+            x.append(s if a0 == 1 else s / a0)
+        return x
+    ints = min(first_non_int(a[1:]) + 1, first_non_int(f)) if a0 == 1 else 0
+    return _substitute(_toeplitz_rows(a, f), ints)
 
 
 def spread(v, base: int, power: int, out_len: int):

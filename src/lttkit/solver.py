@@ -77,7 +77,7 @@ from functools import cached_property
 
 from . import fft, series
 from .opcount import OpCounter
-from .scalars import COMPLEX, RATIONAL, field_of
+from .scalars import COMPLEX, RATIONAL, _require_finite, field_of
 from .series import SingularMatrixError
 
 __all__ = [
@@ -322,26 +322,6 @@ def _companion(col, base, field):
     ops = OpCounter()
     h, s, _ = _graeffe_level(col, base, ops)
     return _apply_hat_samples(h, s, [1 + 0j], base, ops)
-
-
-def _require_finite(values, name):
-    """Raise ValueError naming the first entry that is not a finite double.
-
-    cmath.isfinite raises OverflowError on an int or Fraction beyond the
-    double range, so such an operand takes the per-entry loop.
-    """
-    try:
-        if all(map(cmath.isfinite, values)):
-            return
-    except OverflowError:
-        pass
-    for i, v in enumerate(values):
-        try:
-            finite = cmath.isfinite(complex(v))
-        except OverflowError:
-            finite = False
-        if not finite:
-            raise ValueError(f"{name} entry at index {i} is not a finite double: {v!r}")
 
 
 def _power_at_least(n, base):

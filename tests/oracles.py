@@ -40,6 +40,27 @@ def dense_toeplitz_matvec(diags, v):
     return [sum(diags[n - 1 + i - j] * v[j] for j in range(n)) for i in range(n)]
 
 
+def dense_forward_substitution(a, f):
+    """Solve the l.t.T. system with first column ``a`` from the definition.
+
+    Row i of the dense lower triangular matrix holds a[i - j] in column
+    j <= i. Each term a[i - j] * x[j] is formed and subtracted on its own, in
+    plain Python arithmetic: an int while every operand is an int, a
+    Fraction from the first Fraction on. A head other than 1 divides as a
+    Fraction, so x[i] is an int exactly when the head is 1 and f[i] and
+    every term of row i are ints.
+    """
+    n = len(a)
+    rows = [[a[i - j] for j in range(i + 1)] for i in range(n)]
+    x = []
+    for i, row in enumerate(rows):
+        s = f[i]
+        for j in range(i):
+            s = s - row[j] * x[j]
+        x.append(s if row[i] == 1 else s / Fraction(row[i]))
+    return x
+
+
 def max_rel_err(got, want) -> float:
     scale = max(max(abs(complex(w)) for w in want), 1e-30)
     return max(abs(complex(g) - complex(w)) for g, w in zip(got, want)) / scale

@@ -9,6 +9,7 @@ from lttkit.bernoulli import (
     FAMILIES,
     METHODS,
     ConversionError,
+    _solve_lower,
     bernoulli_numbers,
     binomial_system,
     convert_type,
@@ -292,6 +293,15 @@ def test_invalid_base_raises_before_padding(time_limit):
         for solver in ("fast", "forward"):
             with pytest.raises(ValueError):
                 bernoulli_numbers(5, "ltt-even-I", solver=solver, base=base)
+
+
+@pytest.mark.parametrize("parity", ["even", "odd"])
+def test_solve_lower_matches_tangent_oracle(parity):
+    for count in [*range(1, 41), 128]:
+        bs = binomial_system(parity, count)
+        got = _solve_lower(bs.rows, bs.rhs)
+        assert got == tangent_bernoulli(count), count
+        assert all(type(v) is Fraction for v in got), count
 
 
 def test_binom_even_matches_tangent_oracle_512():

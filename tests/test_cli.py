@@ -127,6 +127,17 @@ def test_solve_fast_with_trace(tmp_path, capsys):
     assert lines[5].startswith("# trace base=2 levels=2 mult_count=")
 
 
+@pytest.mark.parametrize("solver", [None, "forward"])
+def test_solve_trace_needs_fast_solver(tmp_path, capsys, solver):
+    coeffs = tmp_path / "a.txt"
+    rhs = tmp_path / "f.txt"
+    write_vector(coeffs, [Fraction(1), Fraction(2)])
+    write_vector(rhs, [Fraction(1), Fraction(0)])
+    argv = ["solve", "--coeffs", str(coeffs), "--rhs", str(rhs), "--trace"]
+    code, out, err = run(capsys, *argv, *(["--solver", solver] if solver else []))
+    assert code == 2 and out == "" and "--trace needs --solver fast" in err
+
+
 def test_solve_fast_non_power_length_matches_forward(tmp_path, capsys):
     coeffs = tmp_path / "a.txt"
     rhs = tmp_path / "f.txt"

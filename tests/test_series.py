@@ -2,6 +2,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from oracles import dense_forward_substitution
 
 from lttkit.opcount import OpCounter
 from lttkit.series import (
@@ -15,6 +16,7 @@ from lttkit.series import (
     unspread,
     write_vector,
 )
+from lttkit.solver import ltt_solve_fast
 
 
 def _rand_column(rng, n, unit_head=False):
@@ -205,6 +207,65 @@ def test_solve_forward_inverts_matvec():
         a = _rand_column(rng, n)
         f = [Fraction(rng.randint(-9, 9), rng.randint(1, 9)) for _ in range(n)]
         assert ltt_matvec_naive(a, ltt_solve_forward(a, f)) == f
+
+
+def _typed(values):
+    return [(type(v), v) for v in values]
+
+
+def _forward_columns(rng, n):
+    """Column kinds, each of length n, that the integer kernel treats differently."""
+    digits = [rng.randint(-9, 9) for _ in range(n - 1)]
+    return {
+        "int head 1": [1] + digits,
+        "int head 3": [3] + digits,
+        "int head -2": [-2] + digits,
+        "Fraction head 1": [Fraction(1)] + [Fraction(rng.randint(-9, 9), rng.randint(1, 9)) for _ in range(n - 1)],
+        "Fraction(1) head, int tail": [Fraction(1)] + digits,
+        "mixed": [1] + [v if v % 3 else Fraction(v, 7) for v in digits],
+        "zero heavy": [1] + [v if v % 5 == 0 else 0 for v in digits],
+        "negative": [-1] + [-abs(v) for v in digits],
+        "2**200 denominators": [Fraction(3, 2**200)] + [Fraction(v, 2 ** rng.randint(0, 200)) for v in digits],
+    }
+
+
+def _forward_rhs(rng, n):
+    return {
+        "e1": [1] + [0] * (n - 1),
+        "int": [rng.randint(-9, 9) for _ in range(n)],
+        "Fraction": [Fraction(rng.randint(-9, 9), rng.randint(1, 9)) for _ in range(n)],
+        "mixed": [rng.randint(-9, 9) if i % 3 else Fraction(rng.randint(-9, 9), 5) for i in range(n)],
+        "2**200 denominators": [Fraction(rng.randint(-9, 9), 2**200) for _ in range(n)],
+    }
+
+
+def test_solve_forward_matches_dense_oracle_values_and_types():
+    rng = random.Random(71)
+    for n in range(1, 41):
+        for col_kind, a in _forward_columns(rng, n).items():
+            for rhs_kind, f in _forward_rhs(rng, n).items():
+                want = dense_forward_substitution(a, f)
+                assert _typed(ltt_solve_forward(a, f)) == _typed(want), (n, col_kind, rhs_kind)
+
+
+@pytest.mark.parametrize("operand", ["column", "rhs"])
+@pytest.mark.parametrize(
+    "bad",
+    [float("nan"), complex(0.0, float("inf")), 10**400, Fraction(-(10**400), 3)],
+    ids=["nan", "inf", "huge int", "huge Fraction"],
+)
+def test_complex_solves_name_non_finite_entries(operand, bad):
+    # both solvers refuse the same entry with the same message, instead of
+    # returning NaNs (forward) or overflowing inside a conversion
+    a = [1 + 0j, 0.5, 0.25, 0.125]
+    f = [1, 0j, 0, 0]
+    (a if operand == "column" else f)[2] = bad
+    messages = []
+    for solve in (ltt_solve_forward, lambda a, f: ltt_solve_fast(a, f, 2)):
+        with pytest.raises(ValueError, match=f"{operand} entry at index 2") as exc:
+            solve(a, f)
+        messages.append(str(exc.value))
+    assert messages[0] == messages[1]
 
 
 def test_vector_file_round_trip(tmp_path):
