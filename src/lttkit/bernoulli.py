@@ -23,6 +23,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, factorial
+from operator import add
 
 from . import series
 from .solver import ltt_solve_fast
@@ -168,31 +169,33 @@ def scaling_diag(n: int, x: Fraction) -> list:
 def binomial_system(parity: str, n: int) -> BinomialSystem:
     """Even rows C(2j, 2k) with rhs j; odd rows C(2j-1, 2k) with rhs (2j-1)/2.
 
-    Row one of the odd system is the normalization B_0 = 1.
+    Row one of the odd system is the normalization B_0 = 1. The entries are
+    Fractions of the int rows the binom-* routes solve.
     """
     if parity not in ("even", "odd"):
         raise ValueError(f"unknown parity: {parity!r}")
     if n < 1:
         raise ValueError("size must be >= 1")
+    rows, rhs = _binomial_rows(parity, n)
+    return BinomialSystem(parity, n, [[Fraction(c) for c in row] for row in rows], [Fraction(*g) for g in rhs])
+
+
+def _binomial_rows(parity, n):
+    """binomial_system's rows as ints, by Pascal's rule, and its rhs as (numerator, denominator)."""
+    rows, pascal = [], [1]
+    for m in range(1, 2 * n + 1):
+        pascal = [1, *map(add, pascal, pascal[1:]), 1]  # C(m, 0..m)
+        if m % 2 == (parity == "odd"):
+            rows.append(pascal[:m:2])  # C(m, 2k) for 2k < m
     if parity == "even":
-        rows = [[Fraction(comb(2 * j, 2 * k)) for k in range(j)] for j in range(1, n + 1)]
-        rhs = [Fraction(j) for j in range(1, n + 1)]
-    else:
-        rows = [[Fraction(comb(2 * j - 1, 2 * k)) for k in range(j)] for j in range(1, n + 1)]
-        rhs = [Fraction(1)] + [Fraction(2 * j - 1, 2) for j in range(2, n + 1)]
-    return BinomialSystem(parity, n, rows, rhs)
+        return rows, [(j, 1) for j in range(1, n + 1)]
+    return rows, [(1, 1)] + [(2 * j - 1, 2) for j in range(2, n + 1)]
 
 
 def _solve_lower(rows, rhs):
-    return series._substitute(_integer_rows(rows, rhs))
-
-
-def _integer_rows(rows, rhs):
     # each row and its right-hand side scaled by the row's lcm denominator
-    for row, v in zip(rows, rhs):
-        d = math.lcm(*(c.denominator for c in row))
-        ints = [c.numerator * (d // c.denominator) for c in row]
-        yield ints[:-1], ints[-1], d * v.numerator, v.denominator
+    scaled = ((*series._numerators(row), v) for row, v in zip(rows, rhs))
+    return series._substitute((r[:-1], r[-1], d * v.numerator, v.denominator) for r, d, v in scaled)
 
 
 def _zeros(n):
@@ -360,8 +363,9 @@ def bernoulli_numbers(
         raise ValueError("scaling parameter x must be nonzero")
 
     if method.startswith("binom-"):
-        bs = binomial_system(method.removeprefix("binom-"), count)
-        return _solve_lower(bs.rows, bs.rhs)
+        # the int rows go straight to the substitution: denominator 1, no lcm
+        rows, rhs = _binomial_rows(method.removeprefix("binom-"), count)
+        return series._substitute((row[:-1], row[-1], *g) for row, g in zip(rows, rhs))
 
     _, fam_key, kind_key = method.split("-")
     family = {"even": "even", "odd": "odd", "ram": "ramanujan"}[fam_key]

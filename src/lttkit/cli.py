@@ -201,12 +201,12 @@ def _suite_fft() -> int:
 def _suite_solver() -> int:
     n = 0
     rng = random.Random(303)
-    for base, sizes in ((2, (8, 16)), (3, (9, 27))):
-        for size in sizes:
-            a = [Fraction(1)] + [Fraction(rng.randint(-3, 3)) for _ in range(size - 1)]
-            x, _ = solver.invert_first_column(a, base)
-            e1 = [Fraction(1)] + [Fraction(0)] * (size - 1)
-            n += _require(x == series.ltt_solve_forward(a, e1), f"invert b={base} n={size}")
+    sizes = ((2, 8), (2, 16), (3, 9), (3, 27))
+    cases = [(b, [Fraction(1)] + [Fraction(rng.randint(-3, 3)) for _ in range(m - 1)]) for b, m in sizes]
+    for base, a in cases + [(3, [1, 0, 0, 5, 0, 0, 7])]:  # an int column that skips its first level
+        x, _ = solver.invert_first_column(a, base)
+        want = series.ltt_solve_forward(a, [1] + [0] * (len(a) - 1))
+        n += _require([(type(v), v) for v in x] == [(type(v), v) for v in want], f"invert b={base} n={len(a)}")
     a = [Fraction(1)] + [Fraction(rng.randint(-4, 4), rng.randint(1, 4)) for _ in range(26)]
     w = series.ltt_compose(a, solver.sparsify_hat(a, 3))
     n += _require(all(w[i] == 0 for i in range(27) if i % 3), "nullified diagonals")

@@ -8,14 +8,16 @@ product, i.e. plain series multiplication mod ``z**n``.
 
 The quadratic routines in this module are exact over rationals and serve as
 the reference implementations for every fast path in the package.
-ltt_matvec_kronecker is the exact product the solver runs on rationals;
-ltt_matvec_naive is its oracle. ltt_solve_forward is the baseline the fast
-solver is judged against, so it is not a per-term Fraction loop: its
-_substitute kernel keeps the column and the unknowns as integer numerators
-over running lcm denominators, one integer dot product and one Fraction
-per row, and also solves the dense binomial systems of the bernoulli
-module. The per-term Fraction definition it must agree with, values and
-types, is dense_forward_substitution in tests/oracles.py.
+_kronecker is the exact product the solver runs on integer numerators,
+each vector over one reduced denominator; ltt_matvec_kronecker runs it on
+ints and Fractions, and ltt_matvec_naive is its oracle. ltt_solve_forward
+is the baseline the fast solver is judged against, so it is not a per-term
+Fraction loop: its _substitute kernel keeps the column and the unknowns as
+integer numerators over running lcm denominators, one integer dot product
+and one Fraction per row, and also solves the dense binomial systems of the
+bernoulli module from int rows. The per-term Fraction definition it must
+agree with, values and types, is dense_forward_substitution in
+tests/oracles.py.
 """
 
 from __future__ import annotations
@@ -55,6 +57,24 @@ def first_non_int(values):
     return next((i for i, x in enumerate(values) if type(x) is not int), len(values))
 
 
+def _numerators(values):
+    """(integer numerators, denominator) of ints and Fractions, over their lcm denominator."""
+    den = math.lcm(*(x.denominator for x in values))
+    return [x.numerator * (den // x.denominator) for x in values], den
+
+
+def _reduced(nums, den):
+    # the same values over gcd(den, nums) times less: for den > 0 the lcm
+    # of the entries' own denominators, the one _numerators yields
+    g = math.gcd(den, *nums)
+    return (nums, den) if g == 1 else ([v // g for v in nums], den // g)
+
+
+def _values(nums, den, ints):
+    # nums[i] / den: ints before index ``ints`` (exact by the caller's guarantee), then Fractions
+    return [c // den for c in nums[:ints]] + [Fraction(c, den) for c in nums[ints:]]
+
+
 def _kronecker_pack(ints, width):
     # sum_i ints[i] * 256**(width*i): each sign's magnitudes joined as width-byte slots
     pos = b"".join((x if x > 0 else 0).to_bytes(width, "little") for x in ints)
@@ -62,46 +82,50 @@ def _kronecker_pack(ints, width):
     return int.from_bytes(pos, "little") - int.from_bytes(neg, "little")
 
 
+def _kronecker(parts, v, ops: OpCounter | None = None):
+    """Integer l.t.T. products by Kronecker substitution, p(z) v(z) mod z**len(p) for each p in parts.
+
+    Each operand is one integer, coefficient i in the i-th slot of beta
+    bits, which hold any sum of len(v) >= len(p) products plus a sign bit;
+    v is packed once. The low len(p) slots of one product, offset by
+    2**(beta-1) to read signed values, are the truncated product (Harvey,
+    "Faster polynomial multiplication via multipoint Kronecker substitution",
+    JSC 2009). p is v squares: CPython squares only one object times itself.
+    """
+    bits = max(max(map(abs, p)) for p in parts).bit_length() + max(map(abs, v)).bit_length()
+    width = (bits + len(v).bit_length() + 9) // 8
+    packed = _kronecker_pack(v, width)
+    half = 1 << (8 * width - 1)
+    out = []
+    for p in parts:
+        n = len(p)
+        product = packed * (packed if p is v else _kronecker_pack(p, width))
+        # add 2**(beta-1) to each of the low n slots, so every slot reads non-negative
+        offset = int.from_bytes((bytes(width - 1) + b"\x80") * n, "little")
+        raw = ((product + offset) & ((1 << (8 * width * n)) - 1)).to_bytes(width * n, "little")
+        out.append([int.from_bytes(raw[k : k + width], "little") - half for k in range(0, width * n, width)])
+        if ops is not None:
+            ops.add(n * (n + 1) // 2)
+    return out
+
+
 def ltt_matvec_kronecker(a, v, ops: OpCounter | None = None):
     """Exact l.t.T. product by Kronecker substitution: one big-integer multiply.
 
-    Both operands are brought to integer numerators over their lcm
-    denominator and packed into one integer each, coefficient i in the
-    i-th slot of beta bits; beta leaves room for any sum of n products
-    plus a sign bit. One integer product then holds every coefficient of
-    a(z)*v(z) in its slots, and the low n slots, offset by 2**(beta-1) to
-    read signed values, are the truncated product times the two
-    denominators (Harvey, "Faster polynomial multiplication via multipoint
-    Kronecker substitution", JSC 2009).
-
-    Rationals only. Returns what ltt_matvec_naive returns, values and
-    types: entry i is an int when every operand entry it pairs is an int,
-    otherwise a Fraction. Counts the n(n+1)/2 coefficient products of the
-    field-operation model.
+    _kronecker, the solver's kernel, multiplies the operands' integer
+    numerators over their lcm denominators. Rationals only. Returns what
+    ltt_matvec_naive returns, values and types: entry i is an int when every
+    operand entry it pairs is an int, otherwise a Fraction. Counts the
+    n(n+1)/2 coefficient products of the field-operation model.
     """
-    n = len(a)
-    if n != len(v):
-        raise ValueError(f"length mismatch: column {n}, vector {len(v)}")
+    if len(a) != len(v):
+        raise ValueError(f"length mismatch: column {len(a)}, vector {len(v)}")
     if not a:
         raise ValueError("empty column")
-    da = math.lcm(*(x.denominator for x in a))
-    dv = math.lcm(*(x.denominator for x in v))
-    ia = [x.numerator * (da // x.denominator) for x in a]
-    iv = [x.numerator * (dv // x.denominator) for x in v]
-    bits = max(map(abs, ia)).bit_length() + max(map(abs, iv)).bit_length() + n.bit_length() + 2
-    width = (bits + 7) // 8
-    product = _kronecker_pack(ia, width) * _kronecker_pack(iv, width)
-    # add 2**(beta-1) to each of the low n slots, so every slot reads non-negative
-    offset = int.from_bytes((bytes(width - 1) + b"\x80") * n, "little")
-    raw = ((product + offset) & ((1 << (8 * width * n)) - 1)).to_bytes(width * n, "little")
-    half = 1 << (8 * width - 1)
-    coeffs = [int.from_bytes(raw[k : k + width], "little") - half for k in range(0, width * n, width)]
-    if ops is not None:
-        ops.add(n * (n + 1) // 2)
+    ia, da = _numerators(a)
+    iv, dv = _numerators(v)
     # entry i of the naive sum turns Fraction at the first Fraction it pairs
-    k0 = min(first_non_int(a), first_non_int(v))
-    d = da * dv
-    return [c // d for c in coeffs[:k0]] + [Fraction(c, d) for c in coeffs[k0:]]
+    return _values(_kronecker([ia], iv, ops)[0], da * dv, min(first_non_int(a), first_non_int(v)))
 
 
 # The first column of the product of the l.t.T. matrices built on a and u is
@@ -163,6 +187,12 @@ def _toeplitz_rows(a, f):
         yield rev, a[0].numerator * (da // a[0].denominator), da * v.numerator, v.denominator
 
 
+def _int_prefix(a, f_ints):
+    # entries x_i of L(a)^-1 f that per-term arithmetic leaves ints: head 1,
+    # ints a_1..a_i, and i below f_ints, the index of f's first non-int
+    return min(first_non_int(a[1:]) + 1, f_ints) if a[0] == 1 else 0
+
+
 def ltt_solve_forward(a, f):
     """Solve the l.t.T. system with first column ``a`` by forward substitution.
 
@@ -197,8 +227,7 @@ def ltt_solve_forward(a, f):
             s = f[i] - sum(map(mul, ar[n - 1 - i : n - 1], x))
             x.append(s if a0 == 1 else s / a0)
         return x
-    ints = min(first_non_int(a[1:]) + 1, first_non_int(f)) if a0 == 1 else 0
-    return _substitute(_toeplitz_rows(a, f), ints)
+    return _substitute(_toeplitz_rows(a, f), _int_prefix(a, first_non_int(f)))
 
 
 def spread(v, base: int, power: int, out_len: int):

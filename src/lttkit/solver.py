@@ -31,16 +31,17 @@ and only in the transform domain, as samples of that product.
 
 The scalar field, decided once by invert_first_column and ltt_solve_fast,
 picks one level kernel and one final product. Rational inputs (base 2 and
-3) are solved exactly at shrinking block sizes: each level is one
-sparsify_step, and each assembly step applies a companion column to a
-vector spread by the base, whose residue class r mod base is the l.t.T.
-product of hat[r::base] with the vector. Every such product, one per
-residue class in the levels and the assembly, is one Kronecker-substitution
-product (series.ltt_matvec_kronecker): one big-integer multiply in place of
-a quadratic sum of Fraction products. The base-3 companion column stays a
-naive sum. A column that is already zero off the multiples of the base
-skips its level in either field: its companion column is e_1, and its
-assembly step is a pure spread with no multiplication.
+3) are solved exactly at shrinking block sizes, every vector as integer
+numerators over one positive denominator, reduced by the gcd of both, so
+ints and Fractions are built only for the returned x. An assembly step
+applies a companion column to a vector spread by the base, whose residue
+class r is the l.t.T. product of hat[r::base] with the vector. Each product
+of a residue class, in the levels and the assembly, is one big-integer
+multiply (series._kronecker); at base 2 the level's two are squarings,
+next = A0**2 - z A1**2 with A0, A1 = a[0::2], a[1::2]. The base-3 companion
+column stays a naive sum. A column that is already zero off the multiples
+of the base skips its level in either field: its companion column is e_1,
+and its assembly step is a pure spread with no multiplication.
 
 Complex inputs run each level in the transform domain, as one Graeffe
 root-squaring step: the next column holds the z**base coefficients of
@@ -74,6 +75,7 @@ import math
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import cached_property
+from operator import add, sub
 
 from . import fft, series
 from .opcount import OpCounter
@@ -102,12 +104,13 @@ class SparsifyResult:
 class SolveTrace:
     """Level columns and cost of one inversion, longest level first.
 
-    ``hat_columns`` writes the levels' companion columns out on first read.
+    ``hat_columns`` writes the levels' companion columns out on first read,
+    a rational one as ints if its denominator is 1 and Fractions otherwise.
     mult_count counts the solve's own work, not that of reading them.
     """
 
     base: int
-    _cols: list  # per level the column it nullified
+    _cols: list  # per level the column it nullified and its denominator, None if complex
     mult_count: int
 
     @property
@@ -116,10 +119,7 @@ class SolveTrace:
 
     @cached_property
     def hat_columns(self) -> list:
-        # the first column carries the solve's field: a complex one holds a
-        # complex or float entry, which a skipped level's subsample may drop
-        field = field_of(self._cols[0]) if self._cols else RATIONAL
-        return [_companion(col, self.base, field) for col in self._cols]
+        return [_companion(*col, self.base) for col in self._cols]
 
     def report(self) -> str:
         return f"base={self.base} levels={self.levels} mult_count={self.mult_count}"
@@ -158,53 +158,70 @@ def _hat_base3_exact(a, ops: OpCounter | None):
     return out
 
 
+def _exact_hat(col, den, base, ops):
+    # companion column of integer numerators col over den, as (numerators, denominator)
+    if base == 2:
+        return _hat_base2(col), den
+    return series._reduced(_hat_base3_exact(col, ops), den * den)
+
+
+def _exact_arguments(a, base):
+    # (numerators, denominator) of a rational column with a[0] == 1, at base 2 or 3
+    if not a or a[0] != 1:
+        raise ValueError("column must be normalized to leading coefficient 1")
+    if field_of(a) != RATIONAL:
+        raise ValueError("exact levels take rational columns; complex levels run in the transform domain")
+    if base not in (2, 3):
+        raise ValueError(f"no exact companion form for base {base}; exact levels take base 2 or 3")
+    return series._numerators(a)
+
+
 def sparsify_hat(a, base: int, ops: OpCounter | None = None):
     """Column hat with (L(a) hat)_i = 0 at every index i with i % base != 0.
 
     The exact level's companion column: a rational column with a[0] == 1,
-    at base 2 or 3, where the closed forms have integer coefficients. A
-    complex column raises ValueError; its levels run in the transform
-    domain inside invert_first_column.
+    at base 2 or 3, where the closed forms have integer coefficients; ints
+    before the first non-int entry of ``a``, Fractions from there. A complex
+    column raises ValueError; its levels run in the transform domain
+    inside invert_first_column.
     """
-    if not a or a[0] != 1:
-        raise ValueError("column must be normalized to leading coefficient 1")
-    if field_of(a) != RATIONAL:
-        raise ValueError("sparsify_hat takes rational columns; complex levels run in the transform domain")
+    nums, den = _exact_arguments(a, base)
+    return series._values(*_exact_hat(nums, den, base, ops), series.first_non_int(a))
+
+
+def _exact_level(col, den, base, ops):
+    """One level on integer numerators col over den, len(col) % base == 0: (hat, hden, next, nden).
+
+    next, entries 0, base, 2*base, ... of L(col) hat, is base products of
+    size m/base: class 0 pairs col[0::base] with hat[0::base], class r >= 1
+    pairs col[base-r::base] with hat[r::base] and lands one slot later. At
+    base 2, hat[0::2] = A0 and hat[1::2] = -A1 make them two squarings.
+    """
+    hat, hden = _exact_hat(col, den, base, ops)
+    if len(col) == base:
+        return hat, hden, [1], 1
     if base == 2:
-        return _hat_base2(a)
-    if base == 3:
-        return _hat_base3_exact(a, ops)
-    raise ValueError(f"no exact companion form for base {base}; exact levels take base 2 or 3")
-
-
-def _subsampled_next(col, hat, base, ops):
-    """Entries 0, base, 2*base, ... of L(col) hat via base products of size m/base.
-
-    Splitting the running index by residue class mod base turns the one
-    length-m product into base length-m/base l.t.T. products: class 0 pairs
-    col[0::base] with hat[0::base]; class r >= 1 pairs col[base-r::base] with
-    hat[r::base] and lands one slot later. Each is one Kronecker product.
-    """
-    mb = len(col) // base
-    nxt = series.ltt_matvec_kronecker(col[0::base], hat[0::base], ops)
-    for r in range(1, base):
-        tail = series.ltt_matvec_kronecker(col[base - r :: base], hat[r::base], ops)
-        for i in range(1, mb):
-            nxt[i] += tail[i - 1]
-    return nxt
+        nxt, tail = (series._kronecker([h], h, ops)[0] for h in (col[0::2], col[1::2]))
+        nxt[1:] = map(sub, nxt[1:], tail)
+    else:
+        nxt = series._kronecker([hat[0::base]], col[0::base], ops)[0]
+        for r in range(1, base):
+            nxt[1:] = map(add, nxt[1:], series._kronecker([hat[r::base]], col[base - r :: base], ops)[0])
+    return hat, hden, *series._reduced(nxt, den * hden)
 
 
 def sparsify_step(a, base: int, ops: OpCounter | None = None) -> SparsifyResult:
     """Companion column plus the next, base-times-shorter column.
 
     ``next`` holds the surviving coefficients of L(a) hat; its length is
-    len(a) // base and next[0] == 1.
+    len(a) // base and next[0] == 1. next[i] is an int when a_0..a_{base*i} are.
     """
     if len(a) % base:
         raise ValueError(f"length {len(a)} not divisible by base {base}")
-    hat = sparsify_hat(a, base, ops)
-    nxt = [a[0]] if len(a) == base else _subsampled_next(a, hat, base, ops)
-    return SparsifyResult(hat=hat, next=nxt)
+    nums, den = _exact_arguments(a, base)
+    hat, hden, nxt, nden = _exact_level(nums, den, base, ops)
+    k = series.first_non_int(a)
+    return SparsifyResult(hat=series._values(hat, hden, k), next=series._values(nxt, nden, -(-k // base)))
 
 
 def _already_sparse(col, base):
@@ -215,12 +232,11 @@ def _apply_hat(hat, w, base, ops):
     """L(hat) applied to w spread by base, truncated to len(hat).
 
     Residue class r is L(hat[r::base]) times the leading len(hat[r::base])
-    entries of w.
+    entries of w; w is packed once for every class.
     """
-    out = [None] * len(hat)
-    for r in range(min(base, len(hat))):
-        h = hat[r::base]
-        out[r::base] = series.ltt_matvec_kronecker(h, w[: len(h)], ops)
+    out = [0] * len(hat)
+    for r, product in enumerate(series._kronecker([hat[r::base] for r in range(min(base, len(hat)))], w, ops)):
+        out[r::base] = product
     return out
 
 
@@ -307,16 +323,17 @@ def _apply_hat_samples(h, s, w, base, ops):
     return out
 
 
-def _companion(col, base, field):
+def _companion(col, den, base):
     """Leading len(col) coefficients of a level's companion column, as the solve applied it.
 
     A complex level at base >= 3 is re-run on a counter of its own, which
     gives the samples the solve used, and applied to [1].
     """
+    if den is not None:
+        hat, hden = ([1] + [0] * (len(col) - 1), 1) if _already_sparse(col, base) else _exact_hat(col, den, base, None)
+        return series._values(hat, hden, len(hat) if hden == 1 else 0)
     if _already_sparse(col, base):
-        return [col[0]] + [Fraction(0) if field == RATIONAL else 0j] * (len(col) - 1)
-    if field == RATIONAL:
-        return sparsify_hat(col, base)
+        return [col[0]] + [0j] * (len(col) - 1)
     if base == 2:
         return _hat_base2(col)
     ops = OpCounter()
@@ -336,12 +353,12 @@ def invert_first_column(a, base: int, ops: OpCounter | None = None):
 
     Any length n >= 1. Returns (x, SolveTrace). Exact over rationals (bases
     2 and 3) with Kronecker-substitution products, each level and assembly
-    step truncated to its own length m; a complex column is zero-padded
-    once to the next power of the base and runs every level and every
-    assembly step in the transform domain, at any base. An entry of a
-    complex column that is NaN, infinite or beyond the double range raises
-    ValueError; a complex inverse column that leaves the double range
-    raises OverflowError.
+    step truncated to its own length m, and x typed as ltt_solve_forward
+    types L(a)^-1 e_1; a complex column is zero-padded once to the next
+    power of the base and runs every level and every assembly step in the
+    transform domain, at any base. An entry of a complex column that is
+    NaN, infinite or beyond the double range raises ValueError; a complex
+    inverse column that leaves the double range raises OverflowError.
 
     A column whose off-multiple entries are already zero skips its
     nullification level, the shorter column is read off directly.
@@ -357,38 +374,38 @@ def invert_first_column(a, base: int, ops: OpCounter | None = None):
     field = field_of(a)
     if field == RATIONAL and base > 3:
         raise ValueError(f"no exact companion form for base {base}; use complex scalars")
-    if field == COMPLEX:
-        _require_finite(a, "column")
     counter = ops if ops is not None else OpCounter()
     start = counter.mults
-    one, zero = (Fraction(1), Fraction(0)) if field == RATIONAL else (1 + 0j, 0j)
-    if field == RATIONAL:
-        a0 = Fraction(a0)  # an int column normalizes exactly too
-    # a0 / a0 can round off 1 in complex arithmetic, so the head is set exactly
-    col = list(a) if a0 == 1 else [one] + [v / a0 for v in a[1:]]
-    if field == COMPLEX:
-        col += [zero] * (_power_at_least(n, base) - n)
+    if field == RATIONAL:  # a / a0 as integer numerators over their lcm denominator
+        col, den = series._numerators(a if a0 == 1 else [v / Fraction(a0) for v in a])
+        zero = 0
+    else:
+        _require_finite(a, "column")
+        # a0 / a0 can round off 1 in complex arithmetic, so the head is set exactly
+        col = list(a) if a0 == 1 else [1 + 0j] + [v / a0 for v in a[1:]]
+        col += [0j] * (_power_at_least(n, base) - n)
+        den, zero = None, 0j
 
-    # per level its column and its step: the companion column (rational),
-    # its samples (H, s) (complex), or None if the level is skipped
+    # per level its column, its denominator and its step: the companion
+    # column (rational), its samples (H, s) (complex), or None if skipped
     records = []
     while len(col) > 1:
         if _already_sparse(col, base):
-            step, nxt = None, col[::base]
+            step, nxt, nden = None, col[::base], den
         elif field == COMPLEX:
             h, s, nxt = _graeffe_level(col, base, counter)
-            step = (h, s)
+            step, nden = (h, s), None
         else:
-            level = sparsify_step(col + [zero] * (-len(col) % base), base, counter)
-            step, nxt = level.hat[: len(col)], level.next
-        records.append((col, step))
-        col = nxt
+            hat, hden, nxt, nden = _exact_level(col + [0] * (-len(col) % base), den, base, counter)
+            step = series._reduced(hat[: len(col)], hden)
+        records.append((col, den, step))
+        col, den = nxt, nden
 
     # Apply the companion matrices right to left, starting from the length-1
     # column [1]; a skipped level is a pure spread. Each step keeps its
     # level's m entries.
-    w = col
-    for level_col, step in reversed(records):
+    w, wden = col, den
+    for level_col, _, step in reversed(records):
         if step is None:
             spread = [zero] * len(level_col)
             spread[::base] = w
@@ -396,12 +413,14 @@ def invert_first_column(a, base: int, ops: OpCounter | None = None):
         elif field == COMPLEX:
             w = _apply_hat_samples(*step, w, base, counter)
         else:
-            w = _apply_hat(step, w, base, counter)
-    x = w[:n] if a0 == 1 else [v / a0 for v in w[:n]]
-    if field == COMPLEX and not all(map(cmath.isfinite, x)):
-        raise OverflowError("the inverse's first column leaves the double range")
-    trace = SolveTrace(base=base, _cols=[c for c, _ in records], mult_count=counter.mults - start)
-    return x, trace
+            w, wden = series._reduced(_apply_hat(step[0], w, base, counter), step[1] * wden)
+    if field == RATIONAL:
+        x = series._values([v * a0.denominator for v in w], wden * a0.numerator, series._int_prefix(a, n))
+    else:
+        x = w[:n] if a0 == 1 else [v / a0 for v in w[:n]]
+        if not all(map(cmath.isfinite, x)):
+            raise OverflowError("the inverse's first column leaves the double range")
+    return x, SolveTrace(base=base, _cols=[(c, d) for c, d, _ in records], mult_count=counter.mults - start)
 
 
 def ltt_solve_fast(a, f, base: int, with_trace: bool = False):
@@ -412,10 +431,10 @@ def ltt_solve_fast(a, f, base: int, with_trace: bool = False):
     both operands zero-padded to the next power of the base, and as
     _apply_hat for a rational one: one Kronecker-substitution product, or
     one per residue class when the inverse column is zero off the multiples
-    of the base. With ``with_trace`` the returned pair carries a SolveTrace
-    whose count includes the final product. In a complex solve, an entry
-    of the column or the right-hand side that is NaN, infinite or beyond
-    the double range raises ValueError.
+    of the base, typed as ltt_solve_forward. With ``with_trace`` the
+    returned pair carries a SolveTrace whose count includes the final
+    product. In a complex solve, an entry of the column or the right-hand
+    side that is NaN, infinite or beyond the double range raises ValueError.
     """
     if len(f) != len(a):
         raise ValueError(f"length mismatch: column {len(a)}, rhs {len(f)}")
@@ -431,12 +450,11 @@ def ltt_solve_fast(a, f, base: int, with_trace: bool = False):
         x = fft.ltt_matvec_fft(inv_col + pad, list(f) + pad, base, ops)[: len(a)]
     else:
         # inv_col(z) = h(z**b), so the product is _apply_hat's f(z) * h(z**b):
-        # b products of a b-th of the length. Entries keep the dense
-        # product's types: a Fraction from the first non-int operand entry on.
-        b = base if _already_sparse(inv_col, base) else 1
-        x = _apply_hat(list(f), inv_col[::b], b, ops)
-        k0 = min(series.first_non_int(inv_col), series.first_non_int(f))
-        x[k0:] = [Fraction(c) if type(c) is int else c for c in x[k0:]]
+        # b products of a b-th of the length
+        (inv, iden), (nums, fden) = series._numerators(inv_col), series._numerators(f)
+        b = base if _already_sparse(inv, base) else 1
+        ints = series._int_prefix(a, series.first_non_int(f))
+        x = series._values(_apply_hat(nums, inv[::b], b, ops), iden * fden, ints)
     if with_trace:
         return x, replace(trace, mult_count=ops.mults)
     return x

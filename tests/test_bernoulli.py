@@ -136,12 +136,14 @@ def test_binomial_odd_small():
 
 
 def test_binomial_rows_are_binomials():
-    bs = binomial_system("even", 6)
-    for j in range(1, 7):
-        assert bs.rows[j - 1] == [comb(2 * j, 2 * k) for k in range(j)]
-    bs = binomial_system("odd", 6)
-    for j in range(1, 7):
-        assert bs.rows[j - 1] == [comb(2 * j - 1, 2 * k) for k in range(j)]
+    # the rows come from Pascal's rule in ints and are returned as Fractions
+    for n in range(1, 65):
+        for parity, top in (("even", 0), ("odd", 1)):
+            bs = binomial_system(parity, n)
+            for j in range(1, n + 1):
+                assert bs.rows[j - 1] == [comb(2 * j - top, 2 * k) for k in range(j)], (parity, n, j)
+            assert all(type(c) is Fraction for row in bs.rows for c in row), (parity, n)
+            assert all(type(v) is Fraction for v in bs.rhs), (parity, n)
 
 
 @pytest.mark.parametrize("n", [1, 4, 6, 12])
@@ -299,9 +301,11 @@ def test_invalid_base_raises_before_padding(time_limit):
 def test_solve_lower_matches_tangent_oracle(parity):
     for count in [*range(1, 41), 128]:
         bs = binomial_system(parity, count)
-        got = _solve_lower(bs.rows, bs.rhs)
-        assert got == tangent_bernoulli(count), count
-        assert all(type(v) is Fraction for v in got), count
+        want = tangent_bernoulli(count)
+        # the Fraction rows of binomial_system, and the int rows of the route
+        for got in (_solve_lower(bs.rows, bs.rhs), bernoulli_numbers(count, f"binom-{parity}")):
+            assert got == want, count
+            assert all(type(v) is Fraction for v in got), count
 
 
 def test_binom_even_matches_tangent_oracle_512():

@@ -7,6 +7,7 @@ from oracles import dense_forward_substitution
 from lttkit.opcount import OpCounter
 from lttkit.series import (
     SingularMatrixError,
+    _kronecker,
     ltt_compose,
     ltt_matvec_kronecker,
     ltt_matvec_naive,
@@ -106,6 +107,18 @@ def test_kronecker_slot_bound():
             v = [Fraction(rng.randint(-9, 9), rng.randint(1, 9)) for _ in range(n)]
             assert _same(ltt_matvec_kronecker(a, v), ltt_matvec_naive(a, v)), (n, sign)
             assert _same(ltt_matvec_kronecker(v, a), ltt_matvec_naive(v, a)), (n, sign)
+
+
+def test_kronecker_squaring_matches_naive():
+    # one list passed as both operands is packed once and squared
+    rng = random.Random(37)
+    for n in (1, 2, 9, 33, 128):
+        negative = [rng.randint(-9, -1) for _ in range(n)]
+        signed = [rng.randint(-9, 9) for _ in range(n)]
+        huge = list(signed)
+        huge[n // 2] = -(2**5000)
+        for a in (negative, signed, [0] * n, huge):
+            assert _same(_kronecker([a], a)[0], ltt_matvec_naive(a, a)), (n, a[0])
 
 
 def test_kronecker_shape_error():

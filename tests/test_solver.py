@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from oracles import Eisenstein, max_rel_err, product_form_hat3, rotation_hat
+from oracles import Eisenstein, dense_forward_substitution, max_rel_err, product_form_hat3, rotation_hat
 
 from lttkit.series import (
     SingularMatrixError,
@@ -155,6 +155,13 @@ def test_int_columns_keep_int_results():
     assert x == [1, -2, 1, 0, 0] and all(type(v) is int for v in x)
     x = ltt_solve_fast([1, 2, 3], [1, 1, 1], 3)
     assert x == [1, -1, 0] and all(type(v) is int for v in x)
+    # a skipped level spreads int zeros, and a head Fraction(1) is 1
+    x, _ = invert_first_column([1, 0, 0, 5, 0, 0, 7], 3)
+    assert x == [1, 0, 0, -5, 0, 0, 18] and all(type(v) is int for v in x)
+    x = ltt_solve_fast([1, 0, 0, 5, 0, 0, 7], [1, 2, 3, 4, 5, 6, 7], 3)
+    assert x == ltt_solve_forward([1, 0, 0, 5, 0, 0, 7], [1, 2, 3, 4, 5, 6, 7]) and all(type(v) is int for v in x)
+    x, _ = invert_first_column([Fraction(1), 2, 3], 2)
+    assert x == [1, -2, 1] and all(type(v) is int for v in x)
 
 
 def test_invert_matches_forward_oracle_exactly():
@@ -412,6 +419,40 @@ def test_solve_fast_sparse_inverse_splits_final_product():
             assert [type(v) for v in x] == [type(v) for v in dense]
             class_sizes = [len(f[r::base]) for r in range(min(base, n))]
             assert trace.mult_count - trace_inv.mult_count == sum(c * (c + 1) // 2 for c in class_sizes)
+
+
+def _typed(values):
+    return [(type(v), v) for v in values]
+
+
+def _entry(rng):
+    # an int, or about one time in five a Fraction
+    return rng.randint(-9, 9) if rng.random() >= 0.2 else Fraction(rng.randint(-9, 9), rng.randint(2, 9))
+
+
+def _typing_cases(rng, n, base):
+    """(column, rhs) pairs: five heads, each with an int tail, a tail of
+    about 20% Fractions, and that tail zeroed off the multiples of the base."""
+    for head in (1, Fraction(1), -1, 2, Fraction(3, 2)):
+        ints = [rng.randint(-9, 9) for _ in range(n - 1)]
+        mixed = [_entry(rng) for _ in range(n - 1)]
+        sparse = [v if k % base == 0 else 0 for k, v in enumerate(mixed, 1)]
+        for tail in (ints, mixed, sparse):
+            yield [head] + tail, [_entry(rng) for _ in range(n)]
+
+
+def test_fast_solver_matches_forward_values_and_types():
+    # the fast solver returns forward substitution's values and types: ints
+    # exactly where per-term arithmetic keeps ints, whatever levels it skips
+    rng = random.Random(7)
+    for base in (2, 3):
+        for n in range(1, 21):
+            e1 = [1] + [0] * (n - 1)
+            for a, f in _typing_cases(rng, n, base):
+                want = _typed(dense_forward_substitution(a, e1))
+                assert _typed(invert_first_column(a, base)[0]) == _typed(ltt_solve_forward(a, e1)) == want, (a, base)
+                want = _typed(dense_forward_substitution(a, f))
+                assert _typed(ltt_solve_fast(a, f, base)) == _typed(ltt_solve_forward(a, f)) == want, (a, f, base)
 
 
 def test_solve_fast_trace_includes_final_product():
