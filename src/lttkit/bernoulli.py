@@ -4,7 +4,8 @@ The library knows eight routes to the list B_0, B_2, B_4, ...:
 
 * two dense lower triangular binomial systems (rows of even, respectively
   odd, binomial coefficients with right-hand sides 1, 2, 3, ... and
-  1, 3/2, 5/2, ...);
+  1, 3/2, 5/2, ...), built as int Pascal rows and solved on integer
+  numerators over one running denominator;
 * six lower triangular Toeplitz systems, one per family (even, odd,
   ramanujan) and type. A type I system is solved by the scaled vector
   (B_{2i} x**i / (2i)!)_{i>=0}; the corresponding type II system by the same
@@ -169,8 +170,7 @@ def scaling_diag(n: int, x: Fraction) -> list:
 def binomial_system(parity: str, n: int) -> BinomialSystem:
     """Even rows C(2j, 2k) with rhs j; odd rows C(2j-1, 2k) with rhs (2j-1)/2.
 
-    Row one of the odd system is the normalization B_0 = 1. The entries are
-    Fractions of the int rows the binom-* routes solve.
+    Row one of the odd system is the normalization B_0 = 1.
     """
     if parity not in ("even", "odd"):
         raise ValueError(f"unknown parity: {parity!r}")
@@ -190,12 +190,6 @@ def _binomial_rows(parity, n):
     if parity == "even":
         return rows, [(j, 1) for j in range(1, n + 1)]
     return rows, [(1, 1)] + [(2 * j - 1, 2) for j in range(2, n + 1)]
-
-
-def _solve_lower(rows, rhs):
-    # each row and its right-hand side scaled by the row's lcm denominator
-    scaled = ((*series._numerators(row), v) for row, v in zip(rows, rhs))
-    return series._substitute((r[:-1], r[-1], d * v.numerator, v.denominator) for r, d, v in scaled)
 
 
 def _zeros(n):
@@ -363,7 +357,6 @@ def bernoulli_numbers(
         raise ValueError("scaling parameter x must be nonzero")
 
     if method.startswith("binom-"):
-        # the int rows go straight to the substitution: denominator 1, no lcm
         rows, rhs = _binomial_rows(method.removeprefix("binom-"), count)
         return series._substitute((row[:-1], row[-1], *g) for row, g in zip(rows, rhs))
 

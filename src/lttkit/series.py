@@ -8,16 +8,14 @@ product, i.e. plain series multiplication mod ``z**n``.
 
 The quadratic routines in this module are exact over rationals and serve as
 the reference implementations for every fast path in the package.
-_kronecker is the exact product the solver runs on integer numerators,
-each vector over one reduced denominator; ltt_matvec_kronecker runs it on
-ints and Fractions, and ltt_matvec_naive is its oracle. ltt_solve_forward
-is the baseline the fast solver is judged against, so it is not a per-term
-Fraction loop: its _substitute kernel keeps the column and the unknowns as
-integer numerators over running lcm denominators, one integer dot product
-and one Fraction per row, and also solves the dense binomial systems of the
-bernoulli module from int rows. The per-term Fraction definition it must
-agree with, values and types, is dense_forward_substitution in
-tests/oracles.py.
+_kronecker is the exact product the solver runs on integer numerators over
+one denominator; ltt_matvec_kronecker wraps it for ints and Fractions, and
+ltt_matvec_naive is its oracle. ltt_solve_forward is the baseline the fast
+solver is judged against: its _substitute kernel keeps the column and the
+unknowns as integer numerators over running lcm denominators, one integer
+dot product and one Fraction per row, and also solves the binomial systems
+of the bernoulli module. The per-term definition it must agree with, values
+and types, is dense_forward_substitution in tests/oracles.py.
 """
 
 from __future__ import annotations
@@ -64,8 +62,7 @@ def _numerators(values):
 
 
 def _reduced(nums, den):
-    # the same values over gcd(den, nums) times less: for den > 0 the lcm
-    # of the entries' own denominators, the one _numerators yields
+    # the same values over den / gcd(den, *nums): for den > 0, their lcm denominator
     g = math.gcd(den, *nums)
     return (nums, den) if g == 1 else ([v // g for v in nums], den // g)
 
@@ -83,14 +80,12 @@ def _kronecker_pack(ints, width):
 
 
 def _kronecker(parts, v, ops: OpCounter | None = None):
-    """Integer l.t.T. products by Kronecker substitution, p(z) v(z) mod z**len(p) for each p in parts.
+    """Integer l.t.T. products p(z) v(z) mod z**len(p), p in parts, by Kronecker substitution.
 
-    Each operand is one integer, coefficient i in the i-th slot of beta
-    bits, which hold any sum of len(v) >= len(p) products plus a sign bit;
-    v is packed once. The low len(p) slots of one product, offset by
-    2**(beta-1) to read signed values, are the truncated product (Harvey,
-    "Faster polynomial multiplication via multipoint Kronecker substitution",
-    JSC 2009). p is v squares: CPython squares only one object times itself.
+    Each operand is packed into one integer, coefficient i in slot i of beta
+    bits, room for any sum of len(v) products plus a sign bit; v is packed
+    once, and a p that is v is squared. The low len(p) slots of a product,
+    offset by 2**(beta-1), are its signed coefficients (Harvey, JSC 2009).
     """
     bits = max(max(map(abs, p)) for p in parts).bit_length() + max(map(abs, v)).bit_length()
     width = (bits + len(v).bit_length() + 9) // 8
@@ -112,18 +107,16 @@ def _kronecker(parts, v, ops: OpCounter | None = None):
 def ltt_matvec_kronecker(a, v, ops: OpCounter | None = None):
     """Exact l.t.T. product by Kronecker substitution: one big-integer multiply.
 
-    _kronecker, the solver's kernel, multiplies the operands' integer
-    numerators over their lcm denominators. Rationals only. Returns what
-    ltt_matvec_naive returns, values and types: entry i is an int when every
-    operand entry it pairs is an int, otherwise a Fraction. Counts the
+    Rationals only: _kronecker on the operands' numerators over their lcm
+    denominators. Returns what ltt_matvec_naive returns, values and types
+    (entry i is an int when every entry it pairs is an int), and counts the
     n(n+1)/2 coefficient products of the field-operation model.
     """
     if len(a) != len(v):
         raise ValueError(f"length mismatch: column {len(a)}, vector {len(v)}")
     if not a:
         raise ValueError("empty column")
-    ia, da = _numerators(a)
-    iv, dv = _numerators(v)
+    (ia, da), (iv, dv) = _numerators(a), _numerators(v)
     # entry i of the naive sum turns Fraction at the first Fraction it pairs
     return _values(_kronecker([ia], iv, ops)[0], da * dv, min(first_non_int(a), first_non_int(v)))
 

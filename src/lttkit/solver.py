@@ -31,17 +31,16 @@ and only in the transform domain, as samples of that product.
 
 The scalar field, decided once by invert_first_column and ltt_solve_fast,
 picks one level kernel and one final product. Rational inputs (base 2 and
-3) are solved exactly at shrinking block sizes, every vector as integer
-numerators over one positive denominator, reduced by the gcd of both, so
-ints and Fractions are built only for the returned x. An assembly step
-applies a companion column to a vector spread by the base, whose residue
-class r is the l.t.T. product of hat[r::base] with the vector. Each product
-of a residue class, in the levels and the assembly, is one big-integer
-multiply (series._kronecker); at base 2 the level's two are squarings,
-next = A0**2 - z A1**2 with A0, A1 = a[0::2], a[1::2]. The base-3 companion
-column stays a naive sum. A column that is already zero off the multiples
-of the base skips its level in either field: its companion column is e_1,
-and its assembly step is a pure spread with no multiplication.
+3) are solved exactly at shrinking block sizes, on integer numerators over
+one reduced denominator. An assembly step applies a companion column to a
+vector spread by the base, whose residue class r is the l.t.T. product of
+hat[r::base] with the vector. Each product of a residue class, in the
+levels and the assembly, is one big-integer multiply (series._kronecker);
+a base-2 level's two are squarings, next = A0**2 - z A1**2 with A0, A1 =
+a[0::2], a[1::2]. The base-3 companion column stays a naive sum. A column
+that is already zero off the multiples of the base skips its level in
+either field: its companion column is e_1, and its assembly step is a pure
+spread with no multiplication.
 
 Complex inputs run each level in the transform domain, as one Graeffe
 root-squaring step: the next column holds the z**base coefficients of
@@ -75,7 +74,6 @@ import math
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import cached_property
-from operator import add, sub
 
 from . import fft, series
 from .opcount import OpCounter
@@ -104,14 +102,14 @@ class SparsifyResult:
 class SolveTrace:
     """Level columns and cost of one inversion, longest level first.
 
-    ``hat_columns`` writes the levels' companion columns out on first read,
-    a rational one as ints if its denominator is 1 and Fractions otherwise.
+    ``hat_columns`` writes the levels' companion columns out on first read.
     mult_count counts the solve's own work, not that of reading them.
     """
 
     base: int
     _cols: list  # per level the column it nullified and its denominator, None if complex
     mult_count: int
+    _head: list | None = None  # a rational solve's first column, typed as normalized
 
     @property
     def levels(self) -> int:
@@ -119,7 +117,18 @@ class SolveTrace:
 
     @cached_property
     def hat_columns(self) -> list:
-        return [_companion(*col, self.base) for col in self._cols]
+        if self._head is None:
+            return [_companion(col, self.base) for col, _ in self._cols]
+        hats, col, b, nexts = [], self._head, self.base, iter(self._cols[1:] + [([1], 1)])
+        while len(col) > 1:  # the solve's levels again, as ints and Fractions
+            nxt = next(nexts)
+            if _already_sparse(col, b):
+                hats.append([col[0]] + [Fraction(0)] * (len(col) - 1))
+                col = col[::b]
+            else:
+                hats.append(sparsify_hat(col, b))
+                col = series._values(*nxt, -(-series.first_non_int(col) // b))  # as sparsify_step types next
+        return hats
 
     def report(self) -> str:
         return f"base={self.base} levels={self.levels} mult_count={self.mult_count}"
@@ -158,56 +167,42 @@ def _hat_base3_exact(a, ops: OpCounter | None):
     return out
 
 
-def _exact_hat(col, den, base, ops):
-    # companion column of integer numerators col over den, as (numerators, denominator)
-    if base == 2:
-        return _hat_base2(col), den
-    return series._reduced(_hat_base3_exact(col, ops), den * den)
-
-
-def _exact_arguments(a, base):
-    # (numerators, denominator) of a rational column with a[0] == 1, at base 2 or 3
-    if not a or a[0] != 1:
-        raise ValueError("column must be normalized to leading coefficient 1")
-    if field_of(a) != RATIONAL:
-        raise ValueError("exact levels take rational columns; complex levels run in the transform domain")
-    if base not in (2, 3):
-        raise ValueError(f"no exact companion form for base {base}; exact levels take base 2 or 3")
-    return series._numerators(a)
-
-
 def sparsify_hat(a, base: int, ops: OpCounter | None = None):
     """Column hat with (L(a) hat)_i = 0 at every index i with i % base != 0.
 
     The exact level's companion column: a rational column with a[0] == 1,
-    at base 2 or 3, where the closed forms have integer coefficients; ints
-    before the first non-int entry of ``a``, Fractions from there. A complex
-    column raises ValueError; its levels run in the transform domain
-    inside invert_first_column.
+    at base 2 or 3, where the closed forms have integer coefficients. A
+    complex column raises ValueError; its levels run in the transform
+    domain inside invert_first_column.
     """
-    nums, den = _exact_arguments(a, base)
-    return series._values(*_exact_hat(nums, den, base, ops), series.first_non_int(a))
-
-
-def _exact_level(col, den, base, ops):
-    """One level on integer numerators col over den, len(col) % base == 0: (hat, hden, next, nden).
-
-    next, entries 0, base, 2*base, ... of L(col) hat, is base products of
-    size m/base: class 0 pairs col[0::base] with hat[0::base], class r >= 1
-    pairs col[base-r::base] with hat[r::base] and lands one slot later. At
-    base 2, hat[0::2] = A0 and hat[1::2] = -A1 make them two squarings.
-    """
-    hat, hden = _exact_hat(col, den, base, ops)
-    if len(col) == base:
-        return hat, hden, [1], 1
+    if not a or a[0] != 1:
+        raise ValueError("column must be normalized to leading coefficient 1")
+    if field_of(a) != RATIONAL:
+        raise ValueError("sparsify_hat takes rational columns; complex levels run in the transform domain")
     if base == 2:
-        nxt, tail = (series._kronecker([h], h, ops)[0] for h in (col[0::2], col[1::2]))
-        nxt[1:] = map(sub, nxt[1:], tail)
-    else:
-        nxt = series._kronecker([hat[0::base]], col[0::base], ops)[0]
-        for r in range(1, base):
-            nxt[1:] = map(add, nxt[1:], series._kronecker([hat[r::base]], col[base - r :: base], ops)[0])
-    return hat, hden, *series._reduced(nxt, den * hden)
+        return _hat_base2(a)
+    if base == 3:
+        return _hat_base3_exact(a, ops)
+    raise ValueError(f"no exact companion form for base {base}; exact levels take base 2 or 3")
+
+
+def _level_next(col, hat, den, base, ops):
+    """Entries 0, base, 2*base, ... of L(col) hat, len(col) % base == 0, as reduced (numerators, denominator).
+
+    col and hat are integer numerators whose denominators multiply to den.
+    The entries are base products of size m/base: class 0 pairs col[0::base]
+    with hat[0::base], class r >= 1 pairs col[base-r::base] with hat[r::base]
+    and lands one slot later. At base 2, hat[0::2] = A0 and hat[1::2] = -A1
+    with A0, A1 = col[0::2], col[1::2], so they are two squarings: A0**2 - z A1**2.
+    """
+    if base == 2:
+        sq0, sq1 = (series._kronecker([h], h, ops)[0] for h in (col[0::2], col[1::2]))
+        return series._reduced(sq0[:1] + [p - q for p, q in zip(sq0[1:], sq1)], den)
+    nxt = series._kronecker([hat[0::base]], col[0::base], ops)[0]
+    for r in range(1, base):
+        tail = series._kronecker([hat[r::base]], col[base - r :: base], ops)[0]
+        nxt[1:] = [p + q for p, q in zip(nxt[1:], tail)]
+    return series._reduced(nxt, den)
 
 
 def sparsify_step(a, base: int, ops: OpCounter | None = None) -> SparsifyResult:
@@ -218,10 +213,12 @@ def sparsify_step(a, base: int, ops: OpCounter | None = None) -> SparsifyResult:
     """
     if len(a) % base:
         raise ValueError(f"length {len(a)} not divisible by base {base}")
-    nums, den = _exact_arguments(a, base)
-    hat, hden, nxt, nden = _exact_level(nums, den, base, ops)
-    k = series.first_non_int(a)
-    return SparsifyResult(hat=series._values(hat, hden, k), next=series._values(nxt, nden, -(-k // base)))
+    hat = sparsify_hat(a, base, ops)
+    if len(a) == base:
+        return SparsifyResult(hat=hat, next=[a[0]])
+    (nums, den), (hnums, hden) = series._numerators(a), series._numerators(hat)
+    k = -(-series.first_non_int(a) // base)
+    return SparsifyResult(hat=hat, next=series._values(*_level_next(nums, hnums, den * hden, base, ops), k))
 
 
 def _already_sparse(col, base):
@@ -323,15 +320,12 @@ def _apply_hat_samples(h, s, w, base, ops):
     return out
 
 
-def _companion(col, den, base):
-    """Leading len(col) coefficients of a level's companion column, as the solve applied it.
+def _companion(col, base):
+    """Leading len(col) coefficients of a complex level's companion column, as the solve applied it.
 
-    A complex level at base >= 3 is re-run on a counter of its own, which
-    gives the samples the solve used, and applied to [1].
+    A level at base >= 3 is re-run on a counter of its own, which gives the
+    samples the solve used, and applied to [1].
     """
-    if den is not None:
-        hat, hden = ([1] + [0] * (len(col) - 1), 1) if _already_sparse(col, base) else _exact_hat(col, den, base, None)
-        return series._values(hat, hden, len(hat) if hden == 1 else 0)
     if _already_sparse(col, base):
         return [col[0]] + [0j] * (len(col) - 1)
     if base == 2:
@@ -376,36 +370,36 @@ def invert_first_column(a, base: int, ops: OpCounter | None = None):
         raise ValueError(f"no exact companion form for base {base}; use complex scalars")
     counter = ops if ops is not None else OpCounter()
     start = counter.mults
-    if field == RATIONAL:  # a / a0 as integer numerators over their lcm denominator
-        col, den = series._numerators(a if a0 == 1 else [v / Fraction(a0) for v in a])
-        zero = 0
-    else:
+    if field == COMPLEX:
         _require_finite(a, "column")
-        # a0 / a0 can round off 1 in complex arithmetic, so the head is set exactly
-        col = list(a) if a0 == 1 else [1 + 0j] + [v / a0 for v in a[1:]]
-        col += [0j] * (_power_at_least(n, base) - n)
-        den, zero = None, 0j
+    # a0 / a0 can round off 1 in complex arithmetic, so the head is set exactly
+    one, zero, a0 = (Fraction(1), 0, Fraction(a0)) if field == RATIONAL else (1 + 0j, 0j, a0)  # exact for int a0
+    head = list(a) if a0 == 1 else [one] + [v / a0 for v in a[1:]]
+    col, den = series._numerators(head) if field == RATIONAL else (head + [0j] * (_power_at_least(n, base) - n), None)
 
-    # per level its column, its denominator and its step: the companion
-    # column (rational), its samples (H, s) (complex), or None if skipped
+    # per level its column and its step: the companion column (rational),
+    # its samples (H, s) (complex), or None if the level is skipped
     records = []
     while len(col) > 1:
         if _already_sparse(col, base):
-            step, nxt, nden = None, col[::base], den
+            step, nxt = None, (col[::base], den)
         elif field == COMPLEX:
             h, s, nxt = _graeffe_level(col, base, counter)
-            step, nden = (h, s), None
+            step, nxt = (h, s), (nxt, None)
         else:
-            hat, hden, nxt, nden = _exact_level(col + [0] * (-len(col) % base), den, base, counter)
+            padded = col + [0] * (-len(col) % base)
+            hat = _hat_base2(padded) if base == 2 else _hat_base3_exact(padded, counter)
+            hat, hden = series._reduced(hat, den ** (base - 1))
             step = series._reduced(hat[: len(col)], hden)
-        records.append((col, den, step))
-        col, den = nxt, nden
+            nxt = ([1], 1) if len(padded) == base else _level_next(padded, hat, den * hden, base, counter)
+        records.append(((col, den), step))
+        col, den = nxt
 
     # Apply the companion matrices right to left, starting from the length-1
     # column [1]; a skipped level is a pure spread. Each step keeps its
     # level's m entries.
     w, wden = col, den
-    for level_col, _, step in reversed(records):
+    for (level_col, _), step in reversed(records):
         if step is None:
             spread = [zero] * len(level_col)
             spread[::base] = w
@@ -420,7 +414,7 @@ def invert_first_column(a, base: int, ops: OpCounter | None = None):
         x = w[:n] if a0 == 1 else [v / a0 for v in w[:n]]
         if not all(map(cmath.isfinite, x)):
             raise OverflowError("the inverse's first column leaves the double range")
-    return x, SolveTrace(base=base, _cols=[(c, d) for c, d, _ in records], mult_count=counter.mults - start)
+    return x, SolveTrace(base, [c for c, _ in records], counter.mults - start, head if field == RATIONAL else None)
 
 
 def ltt_solve_fast(a, f, base: int, with_trace: bool = False):
@@ -449,8 +443,7 @@ def ltt_solve_fast(a, f, base: int, with_trace: bool = False):
         pad = [0j] * (_power_at_least(len(a), base) - len(a))
         x = fft.ltt_matvec_fft(inv_col + pad, list(f) + pad, base, ops)[: len(a)]
     else:
-        # inv_col(z) = h(z**b), so the product is _apply_hat's f(z) * h(z**b):
-        # b products of a b-th of the length
+        # inv_col(z) = h(z**b): _apply_hat's f(z) * h(z**b), b products of a b-th of the length
         (inv, iden), (nums, fden) = series._numerators(inv_col), series._numerators(f)
         b = base if _already_sparse(inv, base) else 1
         ints = series._int_prefix(a, series.first_non_int(f))

@@ -9,7 +9,6 @@ from lttkit.bernoulli import (
     FAMILIES,
     METHODS,
     ConversionError,
-    _solve_lower,
     bernoulli_numbers,
     binomial_system,
     convert_type,
@@ -299,13 +298,11 @@ def test_invalid_base_raises_before_padding(time_limit):
 
 @pytest.mark.parametrize("parity", ["even", "odd"])
 def test_solve_lower_matches_tangent_oracle(parity):
+    # the binom-* route solves binomial_system's rows as int Pascal rows
     for count in [*range(1, 41), 128]:
-        bs = binomial_system(parity, count)
-        want = tangent_bernoulli(count)
-        # the Fraction rows of binomial_system, and the int rows of the route
-        for got in (_solve_lower(bs.rows, bs.rhs), bernoulli_numbers(count, f"binom-{parity}")):
-            assert got == want, count
-            assert all(type(v) is Fraction for v in got), count
+        got = bernoulli_numbers(count, f"binom-{parity}")
+        assert got == tangent_bernoulli(count), count
+        assert all(type(v) is Fraction for v in got), count
 
 
 def test_binom_even_matches_tangent_oracle_512():

@@ -127,6 +127,13 @@ def test_sparsify_step_examples():
     res = sparsify_step(e1, 2)
     assert res.hat == e1 and res.next == _e1(3)
 
+    # the base-2 hat flips the signs of the caller's own entries, and next[i]
+    # is an int when a_0..a_{2i} are
+    mixed = [1, Fraction(1, 2), 3, 4]
+    res = sparsify_step(mixed, 2)
+    assert _typed(res.hat) == _typed(sparsify_hat(mixed, 2)) == _typed([1, Fraction(-1, 2), 3, -4])
+    assert _typed(res.next) == _typed([1, Fraction(23, 4)])
+
     # a length-base column shrinks to [1] with no product
     for base in (2, 3):
         res = sparsify_step(a[:base], base)
@@ -441,16 +448,36 @@ def _typing_cases(rng, n, base):
             yield [head] + tail, [_entry(rng) for _ in range(n)]
 
 
+def _typed_hat_chain(col, base):
+    # the solve's levels on ints and Fractions: a skip, or one sparsify_step
+    # on the column padded with Fraction zeros
+    hats = []
+    while len(col) > 1:
+        if not any(col[i] for i in range(1, len(col)) if i % base):
+            hats.append([col[0]] + [Fraction(0)] * (len(col) - 1))
+            col = col[::base]
+        else:
+            res = sparsify_step(col + [Fraction(0)] * (-len(col) % base), base)
+            hats.append(res.hat[: len(col)])
+            col = res.next
+    return [_typed(h) for h in hats]
+
+
 def test_fast_solver_matches_forward_values_and_types():
     # the fast solver returns forward substitution's values and types: ints
-    # exactly where per-term arithmetic keeps ints, whatever levels it skips
+    # exactly where per-term arithmetic keeps ints, whatever levels it skips;
+    # its trace keeps levels as integer numerators, and hat_columns types
+    # them as the sparsify_step chain on the normalized column does
     rng = random.Random(7)
     for base in (2, 3):
         for n in range(1, 21):
             e1 = [1] + [0] * (n - 1)
             for a, f in _typing_cases(rng, n, base):
+                x, trace = invert_first_column(a, base)
                 want = _typed(dense_forward_substitution(a, e1))
-                assert _typed(invert_first_column(a, base)[0]) == _typed(ltt_solve_forward(a, e1)) == want, (a, base)
+                assert _typed(x) == _typed(ltt_solve_forward(a, e1)) == want, (a, base)
+                col = a if a[0] == 1 else [Fraction(1)] + [v / Fraction(a[0]) for v in a[1:]]
+                assert [_typed(h) for h in trace.hat_columns] == _typed_hat_chain(col, base), (a, base)
                 want = _typed(dense_forward_substitution(a, f))
                 assert _typed(ltt_solve_fast(a, f, base)) == _typed(ltt_solve_forward(a, f)) == want, (a, f, base)
 
