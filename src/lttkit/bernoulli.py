@@ -23,6 +23,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
+from itertools import accumulate
 from math import comb, factorial
 from operator import add
 
@@ -114,18 +116,19 @@ class BernoulliSystem:
     q: list
     zscale: list | None = None
 
-    def _scaling(self, length: int) -> list:
-        # the diagonal of the first ``length`` unknowns, shifted one slot for typeII
+    @cached_property
+    def _scaling(self) -> list:
+        # the diagonal of the n unknowns, shifted one slot for typeII; built once per system
         shift = 0 if self.kind == "typeI" else 1
-        return scaling_diag(length + shift, self.x)[shift:]
+        return scaling_diag(self.n + shift, self.x)[shift:]
 
     def rhs(self) -> list:
         zscale = self.zscale or [1] * self.n  # typeI has no z weights
-        return [z * d * q for z, d, q in zip(zscale, self._scaling(self.n), self.q)]
+        return [z * d * q for z, d, q in zip(zscale, self._scaling, self.q)]
 
     def bernoulli_from_solution(self, y) -> list:
         """Undo the diagonal scaling of the solution y; typeII gets B_0 = 1 prepended."""
-        out = [v / s for v, s in zip(y, self._scaling(len(y)))]
+        out = [v / s for v, s in zip(y, self._scaling)]
         return out if self.kind == "typeI" else [Fraction(1)] + out
 
 
@@ -164,7 +167,8 @@ def scaling_diag(n: int, x: Fraction) -> list:
     if n < 1:
         raise ValueError("size must be >= 1")
     x = Fraction(x)
-    return [x**i / Fraction(factorial(2 * i)) for i in range(n)]
+    # the running product d_i = d_{i-1} x / ((2i-1) 2i)
+    return list(accumulate(range(1, n), lambda d, i: d * x / ((2 * i - 1) * (2 * i)), initial=Fraction(1)))
 
 
 def binomial_system(parity: str, n: int) -> BinomialSystem:

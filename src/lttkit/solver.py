@@ -52,8 +52,10 @@ inverse transform of the first m products A*H yields the next column. H
 is kept for the second sweep, where each step is one length-m transform of
 the vector and one length-N inverse transform of its product with H. So a
 level costs two transforms in each sweep. No complex companion column is
-written out during a solve. SolveTrace keeps each level's column, in either
-field, and writes the companion columns out when hat_columns is first read.
+written out during a solve. SolveTrace keeps the normalized first column,
+in either field, and the level count; when hat_columns is first read it
+replays the levels from that column through the same level functions, a
+rational one as sparsify_step, and writes the companion columns out.
 SolveTrace counts every transform multiplication and pointwise product of
 the solve, O(n log n) in total.
 
@@ -100,34 +102,34 @@ class SparsifyResult:
 
 @dataclass(frozen=True)
 class SolveTrace:
-    """Level columns and cost of one inversion, longest level first.
+    """Base, level count and cost of one inversion, with its normalized first column.
 
-    ``hat_columns`` writes the levels' companion columns out on first read.
-    mult_count counts the solve's own work, not that of reading them.
+    ``hat_columns`` replays the levels from that column on first read and
+    writes their companion columns out, longest level first. mult_count
+    counts the solve's own work, not that of reading them.
     """
 
     base: int
-    _cols: list  # per level the column it nullified and its denominator, None if complex
+    levels: int
     mult_count: int
-    _head: list | None = None  # a rational solve's first column, typed as normalized
-
-    @property
-    def levels(self) -> int:
-        return len(self._cols)
+    column: list  # the first level's column: normalized, and zero-padded to a power if complex
 
     @cached_property
     def hat_columns(self) -> list:
-        if self._head is None:
-            return [_companion(col, self.base) for col, _ in self._cols]
-        hats, col, b, nexts = [], self._head, self.base, iter(self._cols[1:] + [([1], 1)])
-        while len(col) > 1:  # the solve's levels again, as ints and Fractions
-            nxt = next(nexts)
+        # the solve's levels again, in the field of the first column and on a counter of their own
+        col, b, hats, ops = self.column, self.base, [], OpCounter()
+        cx = field_of(col) == COMPLEX
+        zero = 0j if cx else Fraction(0)
+        while len(col) > 1:
             if _already_sparse(col, b):
-                hats.append([col[0]] + [Fraction(0)] * (len(col) - 1))
-                col = col[::b]
+                hat, col = [col[0]] + [zero] * (len(col) - 1), col[::b]
+            elif cx:
+                h, s, nxt = _graeffe_level(col, b, ops)
+                hat, col = _hat_base2(col) if b == 2 else _apply_hat_samples(h, s, [1 + 0j], b, ops), nxt
             else:
-                hats.append(sparsify_hat(col, b))
-                col = series._values(*nxt, -(-series.first_non_int(col) // b))  # as sparsify_step types next
+                res = sparsify_step(col + [zero] * (-len(col) % b), b)
+                hat, col = res.hat[: len(col)], res.next
+            hats.append(hat)
         return hats
 
     def report(self) -> str:
@@ -320,21 +322,6 @@ def _apply_hat_samples(h, s, w, base, ops):
     return out
 
 
-def _companion(col, base):
-    """Leading len(col) coefficients of a complex level's companion column, as the solve applied it.
-
-    A level at base >= 3 is re-run on a counter of its own, which gives the
-    samples the solve used, and applied to [1].
-    """
-    if _already_sparse(col, base):
-        return [col[0]] + [0j] * (len(col) - 1)
-    if base == 2:
-        return _hat_base2(col)
-    ops = OpCounter()
-    h, s, _ = _graeffe_level(col, base, ops)
-    return _apply_hat_samples(h, s, [1 + 0j], base, ops)
-
-
 def _power_at_least(n, base):
     p = 1
     while p < n:
@@ -375,9 +362,10 @@ def invert_first_column(a, base: int, ops: OpCounter | None = None):
     # a0 / a0 can round off 1 in complex arithmetic, so the head is set exactly
     one, zero, a0 = (Fraction(1), 0, Fraction(a0)) if field == RATIONAL else (1 + 0j, 0j, a0)  # exact for int a0
     head = list(a) if a0 == 1 else [one] + [v / a0 for v in a[1:]]
-    col, den = series._numerators(head) if field == RATIONAL else (head + [0j] * (_power_at_least(n, base) - n), None)
+    first = head if field == RATIONAL else head + [0j] * (_power_at_least(n, base) - n)
+    col, den = series._numerators(head) if field == RATIONAL else (first, None)
 
-    # per level its column and its step: the companion column (rational),
+    # per level its length and its step: the companion column (rational),
     # its samples (H, s) (complex), or None if the level is skipped
     records = []
     while len(col) > 1:
@@ -392,16 +380,16 @@ def invert_first_column(a, base: int, ops: OpCounter | None = None):
             hat, hden = series._reduced(hat, den ** (base - 1))
             step = series._reduced(hat[: len(col)], hden)
             nxt = ([1], 1) if len(padded) == base else _level_next(padded, hat, den * hden, base, counter)
-        records.append(((col, den), step))
+        records.append((len(col), step))
         col, den = nxt
 
     # Apply the companion matrices right to left, starting from the length-1
     # column [1]; a skipped level is a pure spread. Each step keeps its
     # level's m entries.
     w, wden = col, den
-    for (level_col, _), step in reversed(records):
+    for m, step in reversed(records):
         if step is None:
-            spread = [zero] * len(level_col)
+            spread = [zero] * m
             spread[::base] = w
             w = spread
         elif field == COMPLEX:
@@ -414,7 +402,7 @@ def invert_first_column(a, base: int, ops: OpCounter | None = None):
         x = w[:n] if a0 == 1 else [v / a0 for v in w[:n]]
         if not all(map(cmath.isfinite, x)):
             raise OverflowError("the inverse's first column leaves the double range")
-    return x, SolveTrace(base, [c for c, _ in records], counter.mults - start, head if field == RATIONAL else None)
+    return x, SolveTrace(base, len(records), counter.mults - start, first)
 
 
 def ltt_solve_fast(a, f, base: int, with_trace: bool = False):

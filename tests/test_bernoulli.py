@@ -105,6 +105,10 @@ def test_type_residuals_exact():
 def test_scaling_diag_examples():
     assert scaling_diag(3, Fraction(1)) == [1, Fraction(1, 2), Fraction(1, 24)]
     assert scaling_diag(2, Fraction(4)) == [1, 2]
+    # the running product gives the closed form x**i / (2i)! as Fractions
+    for x in (Fraction(1), Fraction(7, 3), Fraction(-3, 7)):
+        d = scaling_diag(129, x)
+        assert d == [x**i / factorial(2 * i) for i in range(129)] and all(type(v) is Fraction for v in d)
 
 
 def test_scaling_conjugates_weighted_shift():

@@ -340,6 +340,14 @@ def test_bench_single_row(capsys):
     assert int(fields[2]) > 0
 
 
+def test_bench_matvec_rows(capsys):
+    code, out, _ = run(capsys, "bench", "--sizes", "16,64", "--base", "2", "--impl", "matvec")
+    assert code == 0
+    rows = [line.split() for line in out.strip().splitlines()[1:]]
+    assert [row[0] for row in rows] == ["16", "64"]
+    assert all(int(row[2]) > 0 for row in rows)
+
+
 def test_bench_ratio_column_roughly_constant(capsys):
     code, out, _ = run(capsys, "bench", "--sizes", "16,32,64,128", "--base", "2", "--impl", "solve")
     assert code == 0

@@ -252,17 +252,55 @@ def test_invert_errors():
         invert_first_column([Fraction(1)] + [Fraction(0)] * 15, 4)
 
 
+@pytest.mark.parametrize(
+    "call, match",
+    [
+        (lambda: invert_first_column([1, 2], 1), "base must be >= 2"),
+        (lambda: invert_first_column([], 2), "length must be >= 1"),
+        (lambda: ltt_solve_fast([1, 2], [1, 2, 3], 2), "length mismatch: column 2, rhs 3"),
+        (lambda: ltt_solve_forward([1, 2], [1]), "length mismatch: column 2, rhs 1"),
+        (lambda: ltt_solve_forward([], []), "empty column"),
+    ],
+)
+def test_solver_boundary_errors(call, match):
+    with pytest.raises(ValueError, match=match):
+        call()
+
+
+def _telescope(a, hats, base):
+    # compose the spread companion columns onto a; after level j the column
+    # is zero off the multiples of base**(j+1), and after the last it is e_1
+    n, col = len(a), list(a)
+    for j, hat in enumerate(hats):
+        col = ltt_compose(spread(hat, base, j, n) if j else list(hat), col)
+        yield [v for i, v in enumerate(col) if i % base ** (j + 1)], col
+
+
 def test_invert_telescopes_to_identity():
-    # composing the spread companion columns onto a yields the identity column
+    # the replayed companion columns nullify the columns the solve saw, at
+    # power and non-power lengths and across a skipped level
     rng = random.Random(101)
-    for base, n in ((2, 16), (3, 27)):
-        a = _rat_column(rng, n)
-        _, trace = invert_first_column(a, base)
-        col = list(a)
-        for j, hat in enumerate(trace.hat_columns):
-            full = spread(hat, base, j, n) if j else list(hat)
-            col = ltt_compose(full, col)
-        assert col == _e1(n)
+    for base, n in ((2, 16), (3, 27), (2, 7), (3, 7), (2, 100), (3, 100), (2, 129), (3, 129)):
+        dense = _rat_column(rng, n)
+        sparse = [v if i % base == 0 else Fraction(0) for i, v in enumerate(_rat_column(rng, n))]
+        for a in (dense, sparse):
+            _, trace = invert_first_column(a, base)
+            assert trace.levels == len(trace.hat_columns) > 0, (base, n)
+            col = a
+            for off, col in _telescope(a, trace.hat_columns, base):
+                assert not any(off), (base, n)
+            assert col == _e1(n), (base, n)
+        assert trace.hat_columns[0] == _e1(n)  # the sparse column skips its first level
+    for base in (2, 3, 4, 5):
+        for n in (base**3, base**2 + 3):
+            a = _cx_column(rng, n, scale=0.3)
+            _, trace = invert_first_column(a, base)
+            padded = trace.column
+            assert padded[:n] == a and len(padded) == len(trace.hat_columns[0])
+            col = padded
+            for off, col in _telescope(padded, trace.hat_columns, base):
+                assert max(map(abs, off), default=0.0) < 1e-9, (base, n)
+            assert max_rel_err(col, [1 + 0j] + [0j] * (len(padded) - 1)) < 1e-9, (base, n)
 
 
 def test_invert_complex_fft_backend_accuracy():
@@ -300,8 +338,9 @@ def test_hat_columns_built_on_read(base):
 
 
 def test_hat_columns_built_on_read_rational():
-    # a rational trace keeps its level columns too: reading hat_columns does
-    # no counted work, and an order-1 solve has no level and no column
+    # a rational trace replays its levels from its first column too: reading
+    # hat_columns does no counted work, and an order-1 solve has no level and
+    # no companion column
     rng = random.Random(71)
     for base in (2, 3):
         for n in (1, 2, 7, 27, 64):
@@ -378,6 +417,21 @@ def test_invert_complex_large_well_scaled():
 def test_invert_trivial_order_one():
     x, trace = invert_first_column([Fraction(4)], 2)
     assert x == [Fraction(1, 4)] and trace.levels == 0
+
+
+@pytest.mark.parametrize("base", (2, 3, 5))
+def test_solve_fast_order_one(base):
+    # a complex order-1 solve has no level, and its final product is the
+    # order-1 branch of fft.ltt_matvec_fft
+    x, trace = ltt_solve_fast([2 + 1j], [3 + 0j], base, with_trace=True)
+    want = 3 / (2 + 1j)
+    assert len(x) == 1 and abs(x[0] - want) <= 1e-15 * abs(want)
+    assert trace.levels == 0 and trace.hat_columns == [] and trace.column == [1 + 0j]
+    if base < 5:
+        x = ltt_solve_fast([2], [3], base)
+        assert x == [Fraction(3, 2)] and type(x[0]) is Fraction
+        x = ltt_solve_fast([1], [3], base)
+        assert x == [3] and type(x[0]) is int
 
 
 def test_complexity_growth_bound():
