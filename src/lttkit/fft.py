@@ -12,12 +12,22 @@ Conventions fixed here and relied on everywhere else:
 * Transform lengths must be pure powers of one base; mixed lengths are
   rejected rather than planned mixed-radix.
 
-Two kernels run a transform's stages after the digit-reversed load:
-``_radix2`` runs the base-2 stages two at a time as radix-2**2 butterflies
-(He & Torkelson, 1996), and ``_radix_b`` runs every base >= 3 on whole list
-slices. Each performs the floating-point operations of the plain
-per-element Cooley-Tukey butterfly loops in the same order, so outputs and
-multiplication counts equal theirs to the bit.
+The digit-reversed load is one C-level gather kept on the plan. Two
+kernels then run a transform's stages: ``_radix2`` runs the base-2 stages
+two at a time as radix-2**2 butterflies (He & Torkelson, 1996), and
+``_radix_b`` runs every base >= 3 on whole list slices. Each performs the
+floating-point operations of the plain per-element Cooley-Tukey butterfly
+loops in the same order, so outputs and multiplication counts equal theirs
+to the bit.
+
+Transforms are pruned where zeros are known or outputs unread (Markel,
+1971; Sorensen & Burrus, 1993). ``dft`` and ``idft`` take a vector shorter
+than the plan, with implicit zeros, and ``keep``, the number of leading
+outputs wanted. An input of length <= n/base puts one nonzero entry in each
+first-stage block, so that stage is a copy of the gathered entries; with
+keep <= n/base the last stage computes only the output block that holds
+them. A pruned transform's outputs equal the full one's except for the
+signs of zeros.
 
 Two procedures compute ``T v`` for a full Toeplitz ``T`` of order n = b**k:
 embedding T into a (b*n) x (b*n) circulant, or splitting T into the sum of a
@@ -31,7 +41,7 @@ from __future__ import annotations
 import cmath
 from dataclasses import dataclass
 from itertools import repeat
-from operator import add, mul
+from operator import add, itemgetter, mul, sub
 
 from .opcount import OpCounter
 from .scalars import neg_root
@@ -89,10 +99,11 @@ class DftPlan:
     ``root_table[j]`` holds ``exp(2*pi*i*j/n)``; ``permutation`` is the input
     reordering obtained by recursively grouping indexes by residue class mod
     base (base-b digit reversal), after which the transform proceeds
-    breadth-first through block sizes base, base**2, ..., n.
+    breadth-first through block sizes base, base**2, ..., n. ``gather``
+    applies it to a length-n sequence and returns a tuple.
     """
 
-    __slots__ = ("n", "base", "root_table", "permutation")
+    __slots__ = ("n", "base", "root_table", "permutation", "gather")
 
     def __init__(self, n: int, base: int):
         _check_power(n, base)
@@ -100,6 +111,8 @@ class DftPlan:
         self.base = base
         self.root_table = tuple(cmath.exp(2j * cmath.pi * j / n) for j in range(n))
         self.permutation = tuple(_digit_reversal(n, base))
+        # one C-level gather; itemgetter of a single index would return a scalar
+        self.gather = itemgetter(*self.permutation) if n > 1 else itemgetter(slice(0, 1))
 
 
 def _digit_reversal(n, base):
@@ -123,42 +136,84 @@ def plan_for(n: int, base: int) -> DftPlan:
     return plan
 
 
-def dft(z, plan: DftPlan, ops: OpCounter | None = None):
-    """Unnormalized forward transform of z (length plan.n), radix plan.base.
+def dft(z, plan: DftPlan, ops: OpCounter | None = None, keep: int | None = None):
+    """Unnormalized forward transform of z, radix plan.base; returns outputs 0..keep-1.
 
-    Values are coerced to complex and loaded in digit-reversed order. Each
-    block of size L is then built from base blocks of size m = L/base:
-    entry q*m+k of the block is
+    z may be shorter than plan.n: its missing entries are zeros. ``keep``
+    (default plan.n, at least 1) is the number of leading outputs returned.
+    Values are coerced to complex and loaded in digit-reversed order by the
+    plan's gather. Each block of size L is then built from base blocks of
+    size m = L/base: entry q*m+k of the block is
     ``sum_r w_base**(q*r) * (w_L**(k*r) * sub_r[k])``. ``_radix2`` runs the
     stages for base 2 and ``_radix_b`` for every base >= 3; outputs and
     counts equal those of the plain per-element butterfly loops to the bit.
+
+    Known zeros and unread outputs are skipped. With len(z) <= n/base every
+    first-stage block holds one nonzero entry, so the load gathers only
+    those entries, in the order of the length-n/base plan, and copies each
+    into its block in place of that stage. With keep <= n/base the last
+    stage computes only the output block that holds them. Outputs then
+    equal those of the zero-padded, untruncated transform except for the
+    signs of zeros, at a lower count.
     """
-    n = plan.n
-    if len(z) != n:
+    n, base = plan.n, plan.base
+    if len(z) > n:
         raise ValueError(f"length mismatch: vector {len(z)}, plan {n}")
-    x = [complex(z[i]) for i in plan.permutation]
-    mults = _radix2(x, plan.root_table) if plan.base == 2 else _radix_b(x, plan.root_table, plan.base)
+    if keep is None:
+        keep = n
+    elif not 1 <= keep <= n:
+        raise ValueError(f"keep must be in 1..{n}, got {keep}")
+    m = n // base
+    if m and len(z) <= m:
+        head = list(map(complex, plan_for(m, base).gather(_padded(z, m))))
+        x = [None] * n
+        for r in range(base):
+            x[r::base] = head
+        first = base * base  # the first stage is done
+    else:
+        x = list(map(complex, plan.gather(_padded(z, n))))
+        first = base
+    pruned = keep <= m
+    if base == 2:
+        mults = _radix2(x, plan.root_table, first, pruned)
+    else:
+        mults = _radix_b(x, plan.root_table, base, first, pruned)
     if ops is not None:
         ops.add(mults)
-    return x
+    return x if keep == n else x[:keep]
 
 
-def _radix2(x, roots):
-    """Radix-2 stages in place on digit-reversed x; returns the multiplication count.
+def _padded(z, n):
+    return z if len(z) == n else [*z, *repeat(0j, n - len(z))]
+
+
+def _twiddled(v, w):
+    # v[k] * w[k] for k >= 1; twiddle index 0 is not multiplied
+    out = list(map(mul, v, w))
+    out[0] = v[0]
+    return out
+
+
+def _radix2(x, roots, L, pruned):
+    """Radix-2 stages L, 2L, ..., n in place on digit-reversed x; returns the multiplication count.
 
     One sweep runs the stages L and 2L together as a radix-2**2 butterfly on
     the four entries off+k, off+m+k, off+L+k, off+L+m+k (m = L/2): the
     stage-L results stay in locals and only the stage-2L results are stored.
-    An odd stage count ends with one plain stage. Twiddle index 0 is not
-    multiplied.
+    An odd stage count ends with one plain stage. ``pruned`` computes only
+    the first n/2 outputs of the last sweep, which has one block, on
+    slices. Twiddle index 0 is not multiplied.
     """
     n = len(x)
     mults = 0
-    L = 2
     while 2 * L <= n:
         m = L >> 1
         w1 = roots[: n // 2 : n // L]  # stage L twiddles, k = 0..m-1
         w2 = roots[: n // 2 : n // (2 * L)]  # stage 2L twiddles, k = 0..L-1
+        mults += (m - 1) * (n // L) + (L - 1) * (n // (2 * L))
+        if pruned and 2 * L == n:
+            _pruned_last_pair(x, m, w1, w2)
+            return mults
         wm = w2[m]
         for a in range(0, n, 2 * L):
             b = a + m
@@ -193,10 +248,13 @@ def _radix2(x, roots):
                 t = d1 * w2[m + k]
                 x[b + k] = b1 + t
                 x[d + k] = b1 - t
-        mults += (m - 1) * (n // L) + (L - 1) * (n // (2 * L))
         L <<= 2
     if L <= n:
         m = L >> 1
+        mults += m - 1
+        if pruned:
+            x[:m] = map(add, x[:m], _twiddled(x[m:], roots))
+            return mults
         for k in range(1, m):
             w = roots[k]
             t = x[m + k] * w
@@ -207,47 +265,56 @@ def _radix2(x, roots):
         t = x[m]
         x[0] = u + t
         x[m] = u - t
-        mults += m - 1
     return mults
 
 
-def _radix_b(x, roots, b):
-    """Radix-b stages in place on digit-reversed x, any b >= 3; returns the count.
+def _pruned_last_pair(x, m, w1, w2):
+    # outputs 0..2m-1 of the radix-2**2 butterfly on the one block of length 4m,
+    # slice-wise: x[k] = (u + t) + c * w2[k] and x[m+k] = (u - t) + d * w2[m+k]
+    L = 2 * m
+    u, t = x[:m], _twiddled(x[m:L], w1)
+    v, s = x[L : L + m], _twiddled(x[L + m :], w1)
+    c = _twiddled(list(map(add, v, s)), w2)
+    x[:m] = map(add, map(add, u, t), c)
+    x[m:L] = map(add, map(sub, u, t), map(mul, map(sub, v, s), w2[m:]))
+
+
+def _radix_b(x, roots, b, L, pruned):
+    """Radix-b stages L, b*L, ..., n in place on digit-reversed x, any b >= 3; returns the count.
 
     Each stage works on whole slices. With m <= n/L it loops over k and
     takes entry r*m+k of every block as the strided slice x[k + r*m::L];
     otherwise it loops over blocks and takes contiguous slices, zipped with
     a strided slice of the twiddles. Output q accumulates
     ``acc + t_r * w_b**(q*r)`` over r = 1..b-1, adding without multiplying
-    where q*r is 0 mod b.
+    where q*r is 0 mod b. ``pruned`` keeps only output block q = 0 of the
+    last stage, whose sums take no multiplication.
     """
     n = len(x)
     wb = [roots[(n // b) * j] for j in range(b)]
     terms = [[(r, wb[q * r % b] if q * r % b else None) for r in range(1, b)] for q in range(b)]
-    nonzero = sum(w is not None for row in terms for _, w in row)
     mults = 0
-    L = b
     while L <= n:
         m = L // b
         blocks = n // L
+        rows = terms[:1] if pruned and L == n else terms
         if m <= blocks:
             for k in range(m):
                 ts = [x[k + r * m :: L] for r in range(b)]
                 if k:
                     for r in range(1, b):
                         ts[r] = list(map(mul, ts[r], repeat(roots[blocks * k * r], blocks)))
-                for q, row in enumerate(terms):
+                for q, row in enumerate(rows):
                     x[k + q * m :: L] = _accumulate(ts, row)
         else:
             tw = [None] + [roots[: blocks * r * m : blocks * r] for r in range(1, b)]
             for off in range(0, n, L):
                 ts = [x[off + r * m : off + r * m + m] for r in range(b)]
                 for r in range(1, b):
-                    head = ts[r][0]  # twiddle index 0 is not multiplied
-                    ts[r] = list(map(mul, ts[r], tw[r]))
-                    ts[r][0] = head
-                for q, row in enumerate(terms):
+                    ts[r] = _twiddled(ts[r], tw[r])
+                for q, row in enumerate(rows):
                     x[off + q * m : off + q * m + m] = _accumulate(ts, row)
+        nonzero = sum(w is not None for row in rows for _, w in row)
         mults += ((b - 1) * (m - 1) + nonzero * m) * blocks
         L *= b
     return mults
@@ -261,13 +328,17 @@ def _accumulate(ts, row):
     return acc
 
 
-def idft(z, plan: DftPlan, ops: OpCounter | None = None):
-    """Inverse transform: conj(dft(conj(z))) / n, so idft(dft(z)) == z."""
-    w = dft([complex(v).conjugate() for v in z], plan, ops)
-    inv = 1.0 / plan.n
+def idft(z, plan: DftPlan, ops: OpCounter | None = None, keep: int | None = None):
+    """Inverse transform conj(dft(conj(z))) / n, so idft(dft(z)) == z.
+
+    Takes z and ``keep`` as dft does (a short z has implicit zeros, and
+    only the leading ``keep`` outputs are computed and scaled), and runs
+    its transform through dft.
+    """
+    w = dft(list(map(complex.conjugate, map(complex, z))), plan, ops, keep)
     if ops is not None:
-        ops.add(plan.n)
-    return [v.conjugate() * inv for v in w]
+        ops.add(len(w))
+    return list(map(mul, map(complex.conjugate, w), repeat(1.0 / plan.n)))
 
 
 def _resolve_plan(n: int, base: int | None) -> DftPlan:

@@ -45,13 +45,17 @@ spread with no multiplication.
 Complex inputs run each level in the transform domain, as one Graeffe
 root-squaring step: the next column holds the z**base coefficients of
 a(z) a(t z) ... a(t**(base-1) z). With N = base*m, one length-N transform
-A of the zero-padded column gives every rotation a(t**i z) as the cyclic
-shift of A by i*m. The companion column's samples H are the product of
-the shifts i = 1..base-1 (a plain shift for base 2), and one length-m
-inverse transform of the first m products A*H yields the next column. H
-is kept for the second sweep, where each step is one length-m transform of
-the vector and one length-N inverse transform of its product with H. So a
-level costs two transforms in each sweep. No complex companion column is
+A of the column gives every rotation a(t**i z) as the cyclic shift of A by
+i*m. The companion column's samples H are the product of the shifts
+i = 1..base-1 (a plain shift for base 2), and one length-m inverse
+transform of the first m products A*H yields the next column. H is kept
+for the second sweep, where each step is one length-m transform of the
+vector and one length-N inverse transform of its product with H. So a
+level costs two transforms in each sweep, and each is pruned (see fft):
+the column and the vector are passed unpadded, base times shorter than
+their transforms, so those copy their first stage, and the inverse
+transforms keep only the m/base and m outputs that are read, so their last
+stage computes one output block of base. No complex companion column is
 written out during a solve. SolveTrace keeps the normalized first column,
 in either field, and the level count; when hat_columns is first read it
 replays the levels from that column through the same level functions, a
@@ -76,6 +80,7 @@ import math
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import cached_property
+from operator import mul
 
 from . import fft, series
 from .opcount import OpCounter
@@ -276,29 +281,30 @@ def _graeffe_level(col, base, ops):
     """One complex nullification level in the transform domain: (H, s, next).
 
     With m = len(col), N = base*m and A the length-N transform of the
-    zero-padded column a(s z), s from _level_radius, the rotation
+    column a(s z), s from _level_radius, passed unpadded, the rotation
     a(t**i s z) samples to A shifted cyclically by i*m. H, the product of the
     shifts i = 1..base-1 (a plain shift for base 2), samples the untruncated
     companion column, of degree below N, on |z| = s. a(z) times that column
     is g(z**base) with deg g < m, so the first m products A[j]*H[j] sample
     g(s**base z) at the m-th roots of unity and its leading m/base
-    coefficients, unscaled, are the next column.
+    coefficients, unscaled, are the next column: the only outputs that
+    inverse transform computes.
     """
     m = len(col)
     n = base * m
     s = _level_radius(col, base)
     col = _rescaled(col, s, ops)
-    samples = fft.dft(col + [0j] * (n - m), fft.plan_for(n, base), ops)
+    samples = fft.dft(col, fft.plan_for(n, base), ops)
     h = samples[m:] + samples[:m]
     for i in range(2, base):
         k = i * m
-        h = [p * q for p, q in zip(h, samples[k:] + samples[:k])]
+        h = list(map(mul, h, samples[k:] + samples[:k]))
     ops.add((base - 2) * n)
     if m == base:
         return h, s, [1 + 0j]
-    g = fft.idft([p * q for p, q in zip(samples[:m], h)], fft.plan_for(m, base), ops)
+    g = fft.idft(list(map(mul, samples[:m], h)), fft.plan_for(m, base), ops, m // base)
     ops.add(m)
-    nxt = _rescaled(g[: m // base], (1 / s) ** base, ops)
+    nxt = _rescaled(g, (1 / s) ** base, ops)
     nxt[0] = 1 + 0j
     return h, s, nxt
 
@@ -309,14 +315,15 @@ def _apply_hat_samples(h, s, w, base, ops):
     h has length N = base*m and w length ceil(m/base). w((s z)**base) at the
     N-th roots of unity is the length-m transform of w(s**base z) tiled base
     times; the product has degree below N, so the cyclic inverse transform
-    does not alias. hat[0] is 1, so coefficient 0 is w[0] exactly; with
-    w = [1] the result is the companion column itself.
+    does not alias, and only its first m outputs are computed. hat[0] is 1,
+    so coefficient 0 is w[0] exactly; with w = [1] the result is the
+    companion column itself.
     """
     n = len(h)
     m = n // base
-    ws = fft.dft(_rescaled(w, s**base, ops) + [0j] * (m - len(w)), fft.plan_for(m, base), ops)
+    ws = fft.dft(_rescaled(w, s**base, ops), fft.plan_for(m, base), ops)
     ops.add(n)
-    out = fft.idft([p * q for p, q in zip(h, ws * base)], fft.plan_for(n, base), ops)[:m]
+    out = fft.idft(list(map(mul, h, ws * base)), fft.plan_for(n, base), ops, m)
     out = _rescaled(out, 1 / s, ops)
     out[0] = w[0]
     return out

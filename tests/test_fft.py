@@ -64,7 +64,14 @@ def test_dft_matches_naive_oracle():
             assert max_rel_err(dft(z, plan_for(n, base)), naive_dft(z)) < 1e-12
 
 
-@pytest.mark.parametrize("base, top", [(2, 10), (3, 6), (4, 4), (5, 4), (6, 3), (7, 3)])
+EVERY_LENGTH = [(2, 10), (3, 6), (4, 4), (5, 4), (6, 3), (7, 3)]
+
+
+def _bits(v):
+    return [(c.real.hex(), c.imag.hex()) for c in v]
+
+
+@pytest.mark.parametrize("base, top", EVERY_LENGTH)
 def test_dft_every_length_matches_naive_oracle(base, top):
     # odd and even radix-2 stage counts; for b >= 3 both the strided (m <= n/L)
     # and the contiguous slices, and at bases 4 and 6 outputs where q*r = 0 mod b
@@ -73,6 +80,88 @@ def test_dft_every_length_matches_naive_oracle(base, top):
         n = base**k
         z = _rand_vec(rng, n)
         assert max_rel_err(dft(z, plan_for(n, base)), naive_dft(z)) < 1e-12, n
+
+
+@pytest.mark.parametrize("base, top", EVERY_LENGTH)
+def test_short_input_equals_zero_padded(base, top):
+    # a vector of length <= n/base copies the first stage; == treats -0.0 as 0.0,
+    # so this is exact equality except for the signs of zeros
+    rng = random.Random(base + 10)
+    for k in range(1, top + 1):
+        n = base**k
+        plan = plan_for(n, base)
+        for length in sorted({1, n // base - 1, n // base, n // base + 1} - {n}):
+            z = _rand_vec(rng, length)
+            padded = z + [0j] * (n - length)
+            for transform in (dft, idft):
+                assert transform(z, plan) == transform(padded, plan), (transform.__name__, n, length)
+                assert transform(z, plan, keep=1) == transform(padded, plan)[:1], (n, length)
+
+
+@pytest.mark.parametrize("base, top", EVERY_LENGTH)
+def test_keep_returns_the_leading_outputs_bit_for_bit(base, top):
+    rng = random.Random(base + 20)
+    for k in range(1, top + 1):
+        n = base**k
+        plan = plan_for(n, base)
+        z = _rand_vec(rng, n)
+        for transform in (dft, idft):
+            full_ops = OpCounter()
+            full = transform(z, plan, full_ops)
+            for keep in (1, n // base, n):
+                ops = OpCounter()
+                assert _bits(transform(z, plan, ops, keep)) == _bits(full[:keep]), (n, keep)
+                assert ops.mults <= full_ops.mults
+
+
+def test_pruned_transforms_count_less():
+    # the first stage of a short input and the unread blocks of the last stage
+    # cost nothing; at base 2 those stages have no multiplications to save
+    for n, base in ((27, 3), (125, 5), (49, 7)):
+        plan = plan_for(n, base)
+        counts = []
+        for z, keep in (([1j] * n, n), ([1j] * (n // base), n), ([1j] * n, n // base)):
+            ops = OpCounter()
+            dft(z, plan, ops, keep)
+            counts.append(ops.mults)
+        assert counts[1] < counts[0] and counts[2] < counts[0], (n, counts)
+
+
+def test_short_input_and_keep_validation():
+    plan = plan_for(8, 2)
+    for transform in (dft, idft):
+        with pytest.raises(ValueError):
+            transform([1j] * 9, plan)
+        for keep in (0, -1, 9):
+            with pytest.raises(ValueError):
+                transform([1j] * 8, plan, keep=keep)
+
+
+@pytest.mark.parametrize("base", [2, 3, 5])
+def test_length_one_plans(base):
+    # a gather of one index must still give a sequence
+    plan = plan_for(1, base)
+    assert dft([3 - 2j], plan) == [3 - 2j]
+    assert dft((7,), plan, keep=1) == [7 + 0j]
+    assert dft([], plan) == [0j]
+    assert idft([4j], plan, keep=1) == [4j]
+
+
+def test_idft_calls_module_dft_once_per_transform(monkeypatch):
+    # perfbench counts inverse transforms through the fft.dft attribute
+    import lttkit.fft as fft
+
+    calls = []
+    real = fft.dft
+
+    def counting(*args, **kw):
+        calls.append(args[1].n)
+        return real(*args, **kw)
+
+    monkeypatch.setattr(fft, "dft", counting)
+    for n, base, keep in ((8, 2, None), (27, 3, 9), (25, 5, 1), (1, 2, None)):
+        fft.idft([1j] * n, plan_for(n, base), keep=keep)
+    assert calls == [8, 27, 25, 1]
 
 
 # Counts of the per-element butterfly loops the two kernels replaced.
