@@ -24,10 +24,12 @@ Complex levels need transform lengths that are powers of the base, so a
 complex column is zero-padded once to the next power and x truncated.
 
 The companion column is the truncated product of the rotations a(z*t), ...,
-a(z*t**(base-1)) with t the base-th root of unity. It is free for base 2
+a(z*t**(base-1)) with t the base-th root of unity. Its coefficients are
+rational for a rational column at every base. It is free for base 2
 (alternate the signs of ``a``) and has an exact integer-coefficient closed
-form for base 3. For base >= 4 it exists only over the complex numbers,
-and only in the transform domain, as samples of that product.
+form for base 3; no exact form is implemented above base 3, so for base >= 4
+the solver builds it only over the complex numbers, in the transform domain,
+as samples of that product.
 
 The scalar field, decided once by invert_first_column and ltt_solve_fast,
 picks one level kernel and one final product. Rational inputs (base 2 and
@@ -56,12 +58,16 @@ the column and the vector are passed unpadded, base times shorter than
 their transforms, so those copy their first stage, and the inverse
 transforms keep only the m/base and m outputs that are read, so their last
 stage computes one output block of base. No complex companion column is
-written out during a solve. SolveTrace keeps the normalized first column,
-in either field, and the level count; when hat_columns is first read it
-replays the levels from that column through the same level functions, a
-rational one as sparsify_step, and writes the companion columns out.
-SolveTrace counts every transform multiplication and pointwise product of
-the solve, O(n log n) in total.
+written out during a solve.
+
+One function, _level, runs a level of the first sweep in either field: the
+skip, the Graeffe step or the exact level. SolveTrace keeps the normalized
+first column, in either field, and the level count; when hat_columns is
+first read it replays the levels from that column through _level and writes
+each step out as a companion column. sparsify_step is the reference for one
+exact level, built by definition from sparsify_hat and the naive product; it
+shares no product code with the solver. SolveTrace counts every transform
+multiplication and pointwise product of the solve, O(n log n) in total.
 
 The companion columns are built from products of the input column with
 itself, so their dynamic range roughly squares at every level. Exact
@@ -109,8 +115,9 @@ class SparsifyResult:
 class SolveTrace:
     """Base, level count and cost of one inversion, with its normalized first column.
 
-    ``hat_columns`` replays the levels from that column on first read and
-    writes their companion columns out, longest level first. mult_count
+    ``hat_columns`` replays the levels from that column on first read,
+    through the level function the solve ran, and writes their companion
+    columns out, longest level first. mult_count
     counts the solve's own work, not that of reading them.
     """
 
@@ -121,20 +128,21 @@ class SolveTrace:
 
     @cached_property
     def hat_columns(self) -> list:
-        # the solve's levels again, in the field of the first column and on a counter of their own
-        col, b, hats, ops = self.column, self.base, [], OpCounter()
-        cx = field_of(col) == COMPLEX
-        zero = 0j if cx else Fraction(0)
+        # the solve's levels again, through _level on a counter of their own; vals is each level's
+        # column as values, typed as the sparsify_step chain on the first column types it
+        b, hats, ops, vals = self.base, [], OpCounter(), self.column
+        cx = field_of(vals) == COMPLEX
+        col, den = (vals, None) if cx else series._numerators(vals)
         while len(col) > 1:
-            if _already_sparse(col, b):
-                hat, col = [col[0]] + [zero] * (len(col) - 1), col[::b]
-            elif cx:
-                h, s, nxt = _graeffe_level(col, b, ops)
-                hat, col = _hat_base2(col) if b == 2 else _apply_hat_samples(h, s, [1 + 0j], b, ops), nxt
-            else:
-                res = sparsify_step(col + [zero] * (-len(col) % b), b)
-                hat, col = res.hat[: len(col)], res.next
-            hats.append(hat)
+            k = series.first_non_int(vals)
+            step, col, den = _level(col, den, b, ops)
+            hats.append(
+                [vals[0]] + [0j if cx else Fraction(0)] * (len(vals) - 1) if step is None  # e_1
+                else _hat_base2(vals) if b == 2
+                else _apply_hat_samples(*step, [1 + 0j], b, ops) if cx
+                else series._values(*step, k)
+            )
+            vals = col if cx else vals[::b] if step is None else series._values(col, den, -(-k // b))
         return hats
 
     def report(self) -> str:
@@ -190,42 +198,23 @@ def sparsify_hat(a, base: int, ops: OpCounter | None = None):
         return _hat_base2(a)
     if base == 3:
         return _hat_base3_exact(a, ops)
-    raise ValueError(f"no exact companion form for base {base}; exact levels take base 2 or 3")
-
-
-def _level_next(col, hat, den, base, ops):
-    """Entries 0, base, 2*base, ... of L(col) hat, len(col) % base == 0, as reduced (numerators, denominator).
-
-    col and hat are integer numerators whose denominators multiply to den.
-    The entries are base products of size m/base: class 0 pairs col[0::base]
-    with hat[0::base], class r >= 1 pairs col[base-r::base] with hat[r::base]
-    and lands one slot later. At base 2, hat[0::2] = A0 and hat[1::2] = -A1
-    with A0, A1 = col[0::2], col[1::2], so they are two squarings: A0**2 - z A1**2.
-    """
-    if base == 2:
-        sq0, sq1 = (series._kronecker([h], h, ops)[0] for h in (col[0::2], col[1::2]))
-        return series._reduced(sq0[:1] + [p - q for p, q in zip(sq0[1:], sq1)], den)
-    nxt = series._kronecker([hat[0::base]], col[0::base], ops)[0]
-    for r in range(1, base):
-        tail = series._kronecker([hat[r::base]], col[base - r :: base], ops)[0]
-        nxt[1:] = [p + q for p, q in zip(nxt[1:], tail)]
-    return series._reduced(nxt, den)
+    raise ValueError(f"no exact companion form is implemented above base 3, got base {base}; use base 2 or 3")
 
 
 def sparsify_step(a, base: int, ops: OpCounter | None = None) -> SparsifyResult:
-    """Companion column plus the next, base-times-shorter column.
+    """Companion column plus the next, base-times-shorter column, by definition.
 
-    ``next`` holds the surviving coefficients of L(a) hat; its length is
-    len(a) // base and next[0] == 1. next[i] is an int when a_0..a_{base*i} are.
+    The reference for one exact level: hat = sparsify_hat(a, base), and
+    ``next`` holds entries 0, base, 2*base, ... of the naive product L(a) hat,
+    so it shares no product code with the solver. O(m**2): ops counts the
+    companion column's multiplications and the naive product's m(m+1)/2.
+    next has length len(a) // base, next[0] == 1, and next[i] is an int when
+    a_0..a_{base*i} are.
     """
     if len(a) % base:
         raise ValueError(f"length {len(a)} not divisible by base {base}")
     hat = sparsify_hat(a, base, ops)
-    if len(a) == base:
-        return SparsifyResult(hat=hat, next=[a[0]])
-    (nums, den), (hnums, hden) = series._numerators(a), series._numerators(hat)
-    k = -(-series.first_non_int(a) // base)
-    return SparsifyResult(hat=hat, next=series._values(*_level_next(nums, hnums, den * hden, base, ops), k))
+    return SparsifyResult(hat=hat, next=series.ltt_matvec_naive(a, hat, ops)[::base])
 
 
 def _already_sparse(col, base):
@@ -269,16 +258,18 @@ def _level_radius(col, base):
 
 
 def _rescaled(values, r, ops):
-    # values[k] * r**k; r**k raises OverflowError once it leaves the double range.
-    # r == 1 returns values itself, uncounted: callers write only into fresh lists.
+    # values[k] * r**k; r == 1 returns values itself, uncounted: callers write only into fresh lists
     if r == 1.0:
         return values
     ops.add(2 * len(values))
-    return [v * r**k for k, v in enumerate(values)]
+    try:
+        return [v * r**k for k, v in enumerate(values)]
+    except OverflowError:  # r**k left the double range
+        raise OverflowError(f"rescaling the length-{len(values)} column of a level leaves the double range") from None
 
 
 def _graeffe_level(col, base, ops):
-    """One complex nullification level in the transform domain: (H, s, next).
+    """One complex nullification level in the transform domain: ((H, s), next).
 
     With m = len(col), N = base*m and A the length-N transform of the
     column a(s z), s from _level_radius, passed unpadded, the rotation
@@ -301,12 +292,12 @@ def _graeffe_level(col, base, ops):
         h = list(map(mul, h, samples[k:] + samples[:k]))
     ops.add((base - 2) * n)
     if m == base:
-        return h, s, [1 + 0j]
+        return (h, s), [1 + 0j]
     g = fft.idft(list(map(mul, samples[:m], h)), fft.plan_for(m, base), ops, m // base)
     ops.add(m)
     nxt = _rescaled(g, (1 / s) ** base, ops)
     nxt[0] = 1 + 0j
-    return h, s, nxt
+    return (h, s), nxt
 
 
 def _apply_hat_samples(h, s, w, base, ops):
@@ -327,6 +318,42 @@ def _apply_hat_samples(h, s, w, base, ops):
     out = _rescaled(out, 1 / s, ops)
     out[0] = w[0]
     return out
+
+
+def _level(col, den, base, ops):
+    """One first-sweep level: (step, next column, its denominator).
+
+    The step is None for a column already zero off the multiples of the
+    base, whose level is skipped: its companion column is e_1 and the next
+    column is col[::base]. A complex column (den None) takes one
+    transform-domain Graeffe step, and the step is its samples (H, s). A
+    rational column is integer numerators over den; its step is the reduced
+    companion column (numerators, denominator), truncated to len(col), and
+    the next column is entries 0, base, 2*base, ... of L(col) hat, reduced,
+    on the column padded with fewer than base zeros. They are base products
+    of a base-th of the length: class 0 pairs col[0::base] with hat[0::base],
+    class r >= 1 pairs col[base-r::base] with hat[r::base] and lands one slot
+    later. At base 2, hat[0::2] = A0 and hat[1::2] = -A1 with A0, A1 =
+    col[0::2], col[1::2], so they are two squarings: A0**2 - z A1**2.
+    """
+    if _already_sparse(col, base):
+        return None, col[::base], den
+    if den is None:
+        return (*_graeffe_level(col, base, ops), None)
+    padded = col + [0] * (-len(col) % base)
+    hat, hden = series._reduced(_hat_base2(padded) if base == 2 else _hat_base3_exact(padded, ops), den ** (base - 1))
+    step = series._reduced(hat[: len(col)], hden)
+    if len(padded) == base:
+        return step, [1], 1
+    if base == 2:
+        sq0, sq1 = (series._kronecker([h], h, ops)[0] for h in (padded[0::2], padded[1::2]))
+        nxt = sq0[:1] + [p - q for p, q in zip(sq0[1:], sq1)]
+    else:
+        nxt = series._kronecker([hat[0::base]], padded[0::base], ops)[0]
+        for r in range(1, base):
+            tail = series._kronecker([hat[r::base]], padded[base - r :: base], ops)[0]
+            nxt[1:] = [p + q for p, q in zip(nxt[1:], tail)]
+    return (step, *series._reduced(nxt, den * hden))
 
 
 def _power_at_least(n, base):
@@ -361,7 +388,7 @@ def invert_first_column(a, base: int, ops: OpCounter | None = None):
         raise SingularMatrixError("leading coefficient is zero")
     field = field_of(a)
     if field == RATIONAL and base > 3:
-        raise ValueError(f"no exact companion form for base {base}; use complex scalars")
+        raise ValueError(f"no exact companion form is implemented above base 3, got base {base}; use complex scalars")
     counter = ops if ops is not None else OpCounter()
     start = counter.mults
     if field == COMPLEX:
@@ -372,23 +399,11 @@ def invert_first_column(a, base: int, ops: OpCounter | None = None):
     first = head if field == RATIONAL else head + [0j] * (_power_at_least(n, base) - n)
     col, den = series._numerators(head) if field == RATIONAL else (first, None)
 
-    # per level its length and its step: the companion column (rational),
-    # its samples (H, s) (complex), or None if the level is skipped
-    records = []
+    records = []  # per level its length and its step (see _level)
     while len(col) > 1:
-        if _already_sparse(col, base):
-            step, nxt = None, (col[::base], den)
-        elif field == COMPLEX:
-            h, s, nxt = _graeffe_level(col, base, counter)
-            step, nxt = (h, s), (nxt, None)
-        else:
-            padded = col + [0] * (-len(col) % base)
-            hat = _hat_base2(padded) if base == 2 else _hat_base3_exact(padded, counter)
-            hat, hden = series._reduced(hat, den ** (base - 1))
-            step = series._reduced(hat[: len(col)], hden)
-            nxt = ([1], 1) if len(padded) == base else _level_next(padded, hat, den * hden, base, counter)
+        step, nxt, den = _level(col, den, base, counter)
         records.append((len(col), step))
-        col, den = nxt
+        col = nxt
 
     # Apply the companion matrices right to left, starting from the length-1
     # column [1]; a skipped level is a pure spread. Each step keeps its
@@ -427,14 +442,14 @@ def ltt_solve_fast(a, f, base: int, with_trace: bool = False):
     """
     if len(f) != len(a):
         raise ValueError(f"length mismatch: column {len(a)}, rhs {len(f)}")
-    if COMPLEX in (field_of(a), field_of(f)):
+    cx = COMPLEX in (field_of(a), field_of(f))
+    if cx:
         _require_finite(a, "column")  # before complex(v) below, which would overflow
         _require_finite(f, "rhs")
-    if field_of(f) == COMPLEX:
         a = [complex(v) for v in a]
     ops = OpCounter()
     inv_col, trace = invert_first_column(a, base, ops)
-    if field_of(a) == COMPLEX:
+    if cx:
         pad = [0j] * (_power_at_least(len(a), base) - len(a))
         x = fft.ltt_matvec_fft(inv_col + pad, list(f) + pad, base, ops)[: len(a)]
     else:

@@ -173,6 +173,16 @@ def test_solve_out_of_range_exits_three(tmp_path, capsys):
         assert out == "" and err.startswith("error: ") and "Traceback" not in err
 
 
+def test_solve_overflowing_level_exits_three(tmp_path, capsys):
+    coeffs = tmp_path / "a.txt"
+    rhs = tmp_path / "f.txt"
+    write_vector(coeffs, [1 + 0j] + [1e150 + 0j] * 15)
+    write_vector(rhs, [1 + 0j] + [0j] * 15)
+    code, out, err = run(capsys, "solve", "--coeffs", str(coeffs), "--rhs", str(rhs), "--solver", "fast", "--base", "3")
+    assert code == 3 and out == ""
+    assert err == "error: rescaling the length-9 column of a level leaves the double range\n"
+
+
 def test_matvec_out_of_range_exits_three(tmp_path, capsys):
     coeffs = tmp_path / "a.txt"
     vec = tmp_path / "v.txt"

@@ -5,6 +5,7 @@ import pytest
 
 from oracles import Eisenstein, dense_forward_substitution, max_rel_err, product_form_hat3, rotation_hat
 
+from lttkit.bernoulli import gen_system
 from lttkit.series import (
     SingularMatrixError,
     ltt_compose,
@@ -538,6 +539,20 @@ def test_fast_solver_matches_forward_values_and_types():
                 assert _typed(ltt_solve_fast(a, f, base)) == _typed(ltt_solve_forward(a, f)) == want, (a, f, base)
 
 
+def test_bernoulli_columns_level_by_level():
+    # the benchmark's count-128 typeI columns, each level's companion column
+    # against the by-definition sparsify_step chain, values and types; the
+    # ramanujan column skips its first level at base 3
+    for family, base in (("even", 2), ("odd", 2), ("ramanujan", 3)):
+        a = gen_system(family, "typeI", 128, Fraction(1)).a
+        assert a[0] == 1
+        _, trace = invert_first_column(a, base)
+        hats = [_typed(h) for h in trace.hat_columns]
+        assert hats == _typed_hat_chain(a, base), family
+        assert len(hats) == trace.levels > 0, family
+    assert trace.hat_columns[0] == _e1(128)  # the ramanujan column's first level is skipped
+
+
 def test_solve_fast_trace_includes_final_product():
     a = [Fraction(v) for v in (1, 2, 3, 4)]
     _, trace_inv = invert_first_column(a, 2)
@@ -565,6 +580,17 @@ def test_solve_fast_rejects_non_finite_entries():
     # finite entries whose inverse column is out of range: 1e200**2 overflows
     with pytest.raises(OverflowError):
         invert_first_column([1 + 0j, -1e200, 0j, 0j], 2)
+
+
+def test_overflowing_levels_name_the_level_length():
+    # finite entries whose levels leave the double range: at base 2 the second
+    # level's column holds an infinite entry, at base 3 rescaling the first
+    # level's next column back from its circle overflows
+    a = [1 + 0j] + [1e150 + 0j] * 15
+    with pytest.raises(OverflowError, match="^infinite entry in the length-8 column of a level$"):
+        invert_first_column(a, 2)
+    with pytest.raises(OverflowError, match="^rescaling the length-9 column of a level leaves the double range$"):
+        invert_first_column(a, 3)
 
 
 def test_entries_beyond_double_range_raise_value_error():
