@@ -67,14 +67,24 @@ class ConversionError(ValueError):
     """System data is inconsistent with the requested type conversion."""
 
 
-def _a_value(family: str, i: int, x: Fraction) -> Fraction:
-    if family == "even":
-        return 2 * x**i / Fraction(factorial(2 * i + 2))
-    if family == "odd":
-        return x**i / Fraction(factorial(2 * i + 1))
-    if i % 3:
-        return Fraction(0)
-    return 2 * x**i / Fraction(factorial(2 * i + 2) * (2 * i // 3 + 1))
+def _a_column(family: str, n: int, x: Fraction) -> list:
+    """The family's column a_0..a_{n-1} as a running product from a_0 = 1.
+
+    even: a_i = 2 x**i / (2i+2)!; odd: a_i = x**i / (2i+1)!; ramanujan:
+    a_{3k} = 2 x**(3k) / ((6k+2)! (2k+1)), and zero off the multiples of 3.
+    """
+    if family == "ramanujan":
+        x3 = x**3
+
+        def step(a, k):  # a_{3k} / a_{3k-3} = x**3 (2k-1) / ((6k-3)(6k-2)...(6k+2) (2k+1))
+            return a * x3 * (2 * k - 1) / (math.prod(range(6 * k - 3, 6 * k + 3)) * (2 * k + 1))
+
+        out = [Fraction(0)] * n
+        out[::3] = accumulate(range(1, (n + 2) // 3), step, initial=Fraction(1))
+        return out
+    c = 1 if family == "even" else 0
+    # a_i / a_{i-1} = x / ((2i+c)(2i+c+1)), c = 1 for even and 0 for odd
+    return list(accumulate(range(1, n), lambda a, i: a * x / ((2 * i + c) * (2 * i + c + 1)), initial=Fraction(1)))
 
 
 def _q_value(family: str, i: int) -> Fraction:
@@ -153,7 +163,7 @@ def gen_system(family: str, kind: str, n: int, x: Fraction) -> BernoulliSystem:
     x = Fraction(x)
     if x == 0:
         raise ValueError("scaling parameter x must be nonzero")
-    a = [_a_value(family, i, x) for i in range(n)]
+    a = _a_column(family, n, x)
     if kind == "typeI":
         return BernoulliSystem(family, kind, n, x, a, [_q_value(family, i) for i in range(n)])
     q = [_q_value(family, i + 1) for i in range(n)]

@@ -167,6 +167,10 @@ def _suite_series() -> int:
     u = [Fraction(rng.randint(-9, 9), d) for d in range(1, 13)]
     w = [Fraction(rng.randint(-9, 9), d) for d in range(13, 25)]
     n += _require(series.ltt_matvec_kronecker(u, w) == series.ltt_matvec_naive(u, w), "kronecker product")
+    # the two-point kernel reads even and odd coefficients apart: an odd length, and a squaring
+    p, q = ([rng.randint(-99, 99) for _ in range(13)] for _ in range(2))
+    n += _require(series._kronecker([p], q) == [series.ltt_matvec_naive(p, q)], "kronecker odd length")
+    n += _require(series._kronecker([q], q) == [series.ltt_matvec_naive(q, q)], "kronecker squaring")
     return n
 
 

@@ -9,13 +9,15 @@ product, i.e. plain series multiplication mod ``z**n``.
 The quadratic routines in this module are exact over rationals and serve as
 the reference implementations for every fast path in the package.
 _kronecker is the exact product the solver runs on integer numerators over
-one denominator; ltt_matvec_kronecker wraps it for ints and Fractions, and
-ltt_matvec_naive is its oracle. ltt_solve_forward is the baseline the fast
-solver is judged against: its _substitute kernel keeps the column and the
-unknowns as integer numerators over running lcm denominators, one integer
-dot product and one Fraction per row, and also solves the binomial systems
-of the bernoulli module. The per-term definition it must agree with, values
-and types, is dense_forward_substitution in tests/oracles.py.
+one denominator, by two-point Kronecker substitution: two big-integer
+multiplies of half the size, at +X and -X. ltt_matvec_kronecker wraps it
+for ints and Fractions, and ltt_matvec_naive is its oracle.
+ltt_solve_forward is the baseline the fast solver is judged against: its
+_substitute kernel keeps the column and the unknowns as integer numerators
+over running lcm denominators, one integer dot product and one Fraction per
+row, and also solves the binomial systems of the bernoulli module. The
+per-term definition it must agree with, values and types, is
+dense_forward_substitution in tests/oracles.py.
 """
 
 from __future__ import annotations
@@ -79,33 +81,52 @@ def _kronecker_pack(ints, width):
     return int.from_bytes(pos, "little") - int.from_bytes(neg, "little")
 
 
-def _kronecker(parts, v, ops: OpCounter | None = None):
-    """Integer l.t.T. products p(z) v(z) mod z**len(p), p in parts, by Kronecker substitution.
+def _kronecker_unpack(value, width, count):
+    # the low count slots of value = sum_k c_k 256**(width*k), as signed ints;
+    # adding 2**(beta-1) to each of them makes every slot read non-negative
+    offset = int.from_bytes((bytes(width - 1) + b"\x80") * count, "little")
+    raw = ((value + offset) & ((1 << (8 * width * count)) - 1)).to_bytes(width * count, "little")
+    half = 1 << (8 * width - 1)
+    return [int.from_bytes(raw[k : k + width], "little") - half for k in range(0, width * count, width)]
 
-    Each operand is packed into one integer, coefficient i in slot i of beta
-    bits, room for any sum of len(v) products plus a sign bit; v is packed
-    once, and a p that is v is squared. The low len(p) slots of a product,
-    offset by 2**(beta-1), are its signed coefficients (Harvey, JSC 2009).
+
+def _kronecker(parts, v, ops: OpCounter | None = None):
+    """Integer l.t.T. products p(z) v(z) mod z**len(p), p in parts, by two-point Kronecker substitution.
+
+    Slots are beta bits wide, room for any sum of len(v) products plus a
+    sign bit. Each operand is evaluated at +X and -X, X = 2**(beta/2): its
+    even and odd coefficients are packed apart in beta-bit slots, and
+    p(+-X) = even +- X odd. So h = p v is two multiplies of half the size,
+    h(X) = p(X) v(X) and h(-X) = p(-X) v(-X); v is evaluated once, and a p
+    that is v gives two squarings. (h(X) + h(-X)) / 2 holds the even
+    coefficients of h in beta-bit slots and (h(X) - h(-X)) / (2X) the odd
+    ones, both exact divisions (KS2; Harvey, JSC 44, 2009).
     """
     bits = max(max(map(abs, p)) for p in parts).bit_length() + max(map(abs, v)).bit_length()
     width = (bits + len(v).bit_length() + 9) // 8
-    packed = _kronecker_pack(v, width)
-    half = 1 << (8 * width - 1)
+    shift = 4 * width  # X = 2**shift, half a slot
+
+    def at_plus_minus(ints):
+        even, odd = _kronecker_pack(ints[0::2], width), _kronecker_pack(ints[1::2], width) << shift
+        return even + odd, even - odd
+
+    v_plus, v_minus = at_plus_minus(v)
     out = []
     for p in parts:
         n = len(p)
-        product = packed * (packed if p is v else _kronecker_pack(p, width))
-        # add 2**(beta-1) to each of the low n slots, so every slot reads non-negative
-        offset = int.from_bytes((bytes(width - 1) + b"\x80") * n, "little")
-        raw = ((product + offset) & ((1 << (8 * width * n)) - 1)).to_bytes(width * n, "little")
-        out.append([int.from_bytes(raw[k : k + width], "little") - half for k in range(0, width * n, width)])
+        p_plus, p_minus = (v_plus, v_minus) if p is v else at_plus_minus(p)
+        h_plus, h_minus = p_plus * v_plus, p_minus * v_minus
+        coeffs = [0] * n
+        coeffs[0::2] = _kronecker_unpack((h_plus + h_minus) >> 1, width, (n + 1) // 2)
+        coeffs[1::2] = _kronecker_unpack((h_plus - h_minus) >> (shift + 1), width, n // 2)
+        out.append(coeffs)
         if ops is not None:
             ops.add(n * (n + 1) // 2)
     return out
 
 
 def ltt_matvec_kronecker(a, v, ops: OpCounter | None = None):
-    """Exact l.t.T. product by Kronecker substitution: one big-integer multiply.
+    """Exact l.t.T. product by two-point Kronecker substitution: two half-size multiplies.
 
     Rationals only: _kronecker on the operands' numerators over their lcm
     denominators. Returns what ltt_matvec_naive returns, values and types

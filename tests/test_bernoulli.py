@@ -63,6 +63,26 @@ def test_gen_ramanujan_zscale():
     assert sys_.zscale[0] == 1 and sys_.zscale[1] == 1
 
 
+def _a_by_definition(family, i, x):
+    if family == "even":
+        return 2 * x**i / Fraction(factorial(2 * i + 2))
+    if family == "odd":
+        return x**i / Fraction(factorial(2 * i + 1))
+    if i % 3:
+        return Fraction(0)
+    return 2 * x**i / Fraction(factorial(2 * i + 2) * (2 * i // 3 + 1))
+
+
+def test_gen_column_matches_per_entry_definition():
+    # the running product equals each entry built from scratch, values and types
+    for family in FAMILIES:
+        for x in (Fraction(1), Fraction(3, 2), Fraction(-2)):
+            want = [_a_by_definition(family, i, x) for i in range(200)]
+            for n in range(1, 201):
+                a = gen_system(family, "typeI", n, x).a
+                assert a == want[:n] and all(type(v) is Fraction for v in a), (family, x, n)
+
+
 def test_gen_rejects_zero_x():
     with pytest.raises(ValueError):
         gen_system("even", "typeI", 4, Fraction(0))

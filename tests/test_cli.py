@@ -1,4 +1,5 @@
 import json
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -326,15 +327,15 @@ def test_selftest_passes(capsys):
 
 
 def test_selftest_catches_injected_sign_flip(capsys, monkeypatch):
-    original = bernoulli._a_value
+    original = bernoulli.gen_system
 
-    def flipped(family, i, x):
-        value = original(family, i, x)
-        if family == "ramanujan" and i == 3:
-            return -value
-        return value
+    def flipped(family, kind, n, x):
+        sys_ = original(family, kind, n, x)
+        if family == "ramanujan" and n > 3:
+            return replace(sys_, a=sys_.a[:3] + [-sys_.a[3]] + sys_.a[4:])
+        return sys_
 
-    monkeypatch.setattr(bernoulli, "_a_value", flipped)
+    monkeypatch.setattr(bernoulli, "gen_system", flipped)
     code, out, _ = run(capsys, "selftest")
     assert code == 1
     assert "FAIL" in out

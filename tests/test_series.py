@@ -121,6 +121,68 @@ def test_kronecker_squaring_matches_naive():
             assert _same(_kronecker([a], a)[0], ltt_matvec_naive(a, a)), (n, a[0])
 
 
+def _truncated_naive(p, v):
+    # p(z) v(z) mod z**len(p) by the naive product, v cut or zero-padded to len(p)
+    n = len(p)
+    return ltt_matvec_naive(p, (list(v) + [0] * n)[:n])
+
+
+def test_kronecker_two_point_every_length():
+    # the even coefficients come from h(X) + h(-X) and the odd ones from
+    # h(X) - h(-X): odd and even lengths, for products and squarings
+    rng = random.Random(41)
+    for n in list(range(1, 41)) + [127, 128]:
+        p = [rng.randint(-99, 99) for _ in range(n)]
+        v = [rng.randint(-99, 99) for _ in range(n)]
+        assert _kronecker([p], v) == [ltt_matvec_naive(p, v)], n
+        assert _kronecker([v], v) == [ltt_matvec_naive(v, v)], n
+
+
+def test_kronecker_unequal_lengths():
+    # _apply_hat passes parts no longer than v, the base-3 level either way round
+    rng = random.Random(43)
+    for n in (1, 2, 3, 8, 13, 40):
+        for m in sorted({1, max(n - 1, 1), n + 1, 2 * n + 3}):
+            p = [rng.randint(-9, 9) for _ in range(n)]
+            v = [rng.randint(-9, 9) for _ in range(m)]
+            assert _kronecker([p], v) == [_truncated_naive(p, v)], (n, m)
+
+
+def test_kronecker_parts_share_one_v():
+    # residue classes of a column against one vector, as _apply_hat at base 3,
+    # with v itself among the parts (the squaring path)
+    rng = random.Random(47)
+    for m in (1, 2, 3, 7, 20, 64):
+        hat = [rng.randint(-50, 50) for _ in range(m)]
+        v = [rng.randint(-50, 50) for _ in range(-(-m // 3))]
+        parts = [hat[r::3] for r in range(min(3, m))] + [v]
+        assert _kronecker(parts, v) == [_truncated_naive(p, v) for p in parts], m
+
+
+def test_kronecker_slot_bound_at_odd_and_even_index():
+    # all-maximal entries of one sign put the largest coefficient last, at an
+    # odd index for even n and an even one for odd n; at n = 2**k - 1 or
+    # 2**k - 2 it nearly reaches 2**(bits(p) + bits(v) + bits(n)). Eight
+    # consecutive bits(v) give every rounding of the slot to whole bytes
+    for n in (2, 3, 126, 127):
+        for bv in range(56, 64):
+            for sp, sv in ((1, 1), (1, -1), (-1, -1)):
+                p = [sp * (2**64 - 1)] * n
+                v = [sv * (2**bv - 1)] * n
+                assert _kronecker([p, v], v) == [ltt_matvec_naive(p, v), ltt_matvec_naive(v, v)], (n, bv, sp, sv)
+
+
+def test_kronecker_huge_entry_at_odd_index():
+    rng = random.Random(53)
+    for n in (2, 3, 10, 33):
+        for sign in (1, -1):
+            p = [rng.randint(-9, 9) for _ in range(n)]
+            p[(n // 2) | 1] = sign * 2**5000  # an odd index below n
+            v = [rng.randint(-9, 9) for _ in range(n)]
+            for a, b in ((p, v), (v, p), (p, p)):
+                assert _kronecker([a], b) == [ltt_matvec_naive(a, b)], (n, sign)
+
+
 def test_kronecker_shape_error():
     with pytest.raises(ValueError):
         ltt_matvec_kronecker([1, 2], [1, 2, 3])
