@@ -177,7 +177,8 @@ def _suite_series() -> int:
 def _suite_fft() -> int:
     n = 0
     rng = random.Random(202)
-    for size, base in ((8, 2), (16, 2), (9, 3), (27, 3), (25, 5), (125, 5)):
+    # bases 4 and 6 reach the middle output y_{b/2} of the even-base pair butterfly
+    for size, base in ((8, 2), (16, 2), (9, 3), (27, 3), (25, 5), (125, 5), (64, 4), (36, 6)):
         z = [complex(rng.uniform(-1, 1), rng.uniform(-1, 1)) for _ in range(size)]
         plan = fft.plan_for(size, base)
         got = fft.dft(z, plan)

@@ -13,12 +13,16 @@ Conventions fixed here and relied on everywhere else:
   rejected rather than planned mixed-radix.
 
 The digit-reversed load is one C-level gather kept on the plan. Two
-kernels then run a transform's stages: ``_radix2`` runs the base-2 stages
-two at a time as radix-2**2 butterflies (He & Torkelson, 1996), and
-``_radix_b`` runs every base >= 3 on whole list slices. Each performs the
-floating-point operations of the plain per-element Cooley-Tukey butterfly
-loops in the same order, so outputs and multiplication counts equal theirs
-to the bit.
+kernels then run a transform's stages. ``_radix2`` runs the base-2 stages
+two at a time as radix-2**2 butterflies (He & Torkelson, 1996). It performs
+the floating-point operations of the plain per-element Cooley-Tukey
+butterfly loops in the same order, so base-2 outputs and multiplication
+counts equal theirs to the bit. ``_radix_b`` runs every base b >= 3 on
+whole list slices with the conjugate-pair butterfly of Singleton (1969):
+pairing input r with b-r, a position costs 2*h*h multiplications,
+h = (b-1)//2, where forming each output as its own sum cost up to
+(b-1)**2. Its outputs differ from those of the per-output sums at ulp
+level, and lie closer to the exact transform.
 
 Transforms are pruned where zeros are known or outputs unread (Markel,
 1971; Sorensen & Burrus, 1993). ``dft`` and ``idft`` take a vector shorter
@@ -27,7 +31,9 @@ outputs wanted. An input of length <= n/base puts one nonzero entry in each
 first-stage block, so that stage is a copy of the gathered entries; with
 keep <= n/base the last stage computes only the output block that holds
 them. A pruned transform's outputs equal the full one's except for the
-signs of zeros.
+signs of zeros. ``toeplitz_matvec_embed`` prunes its transforms of length
+b*n this way: v fills n of the inverse transform's inputs, and n outputs
+of the last transform are read.
 
 Two procedures compute ``T v`` for a full Toeplitz ``T`` of order n = b**k:
 embedding T into a (b*n) x (b*n) circulant, or splitting T into the sum of a
@@ -145,8 +151,11 @@ def dft(z, plan: DftPlan, ops: OpCounter | None = None, keep: int | None = None)
     plan's gather. Each block of size L is then built from base blocks of
     size m = L/base: entry q*m+k of the block is
     ``sum_r w_base**(q*r) * (w_L**(k*r) * sub_r[k])``. ``_radix2`` runs the
-    stages for base 2 and ``_radix_b`` for every base >= 3; outputs and
-    counts equal those of the plain per-element butterfly loops to the bit.
+    stages for base 2, and outputs and counts equal those of the plain
+    per-element butterfly loops to the bit. ``_radix_b`` runs every base
+    >= 3 by conjugate pairs, whose outputs differ from those loops at ulp
+    level: a block takes (base-1)(m-1) twiddle multiplications plus 2*h*h*m
+    for its butterflies, h = (base-1)//2.
 
     Known zeros and unread outputs are skipped. With len(z) <= n/base every
     first-stage block holds one nonzero entry, so the load gathers only
@@ -201,8 +210,9 @@ def _radix2(x, roots, L, pruned):
     the four entries off+k, off+m+k, off+L+k, off+L+m+k (m = L/2): the
     stage-L results stay in locals and only the stage-2L results are stored.
     An odd stage count ends with one plain stage. ``pruned`` computes only
-    the first n/2 outputs of the last sweep, which has one block, on
-    slices. Twiddle index 0 is not multiplied.
+    the first n/2 outputs of the last stage: on slices when it ends a sweep,
+    which then has one block, and in place when it is the plain stage.
+    Twiddle index 0 is not multiplied.
     """
     n = len(x)
     mults = 0
@@ -252,8 +262,10 @@ def _radix2(x, roots, L, pruned):
     if L <= n:
         m = L >> 1
         mults += m - 1
-        if pruned:
-            x[:m] = map(add, x[:m], _twiddled(x[m:], roots))
+        if pruned:  # in place: slices would hold two more half-length lists
+            for k in range(1, m):
+                x[k] += x[m + k] * roots[k]
+            x[0] += x[m]
             return mults
         for k in range(1, m):
             w = roots[k]
@@ -285,47 +297,91 @@ def _radix_b(x, roots, b, L, pruned):
     Each stage works on whole slices. With m <= n/L it loops over k and
     takes entry r*m+k of every block as the strided slice x[k + r*m::L];
     otherwise it loops over blocks and takes contiguous slices, zipped with
-    a strided slice of the twiddles. Output q accumulates
-    ``acc + t_r * w_b**(q*r)`` over r = 1..b-1, adding without multiplying
-    where q*r is 0 mod b. ``pruned`` keeps only output block q = 0 of the
+    a strided slice of the twiddles. The twiddled slices then go through
+    ``_pair_butterfly``. ``pruned`` keeps only output block q = 0 of the
     last stage, whose sums take no multiplication.
     """
     n = len(x)
-    wb = [roots[(n // b) * j] for j in range(b)]
-    terms = [[(r, wb[q * r % b] if q * r % b else None) for r in range(1, b)] for q in range(b)]
+    h = (b - 1) // 2
+    # w_b**j for j = q*r mod b, q, r = 1..h, read at the angle 2*pi*j/b or, past
+    # pi, as the conjugate of w_b**(b-j): table entries past pi err more
+    wb = [roots[(n // b) * j] if 2 * j <= b else roots[(n // b) * (b - j)].conjugate() for j in range(b)]
+    # cos(2*pi*q*r/b) and i*sin(2*pi*q*r/b) as complex constants: a float would
+    # be promoted to complex(c, 0.0) in every product, the same arithmetic, slower
+    cos = [[complex(wb[q * r % b].real, 0.0) for r in range(1, h + 1)] for q in range(1, h + 1)]
+    isin = [[complex(0.0, wb[q * r % b].imag) for r in range(1, h + 1)] for q in range(1, h + 1)]
     mults = 0
     while L <= n:
         m = L // b
         blocks = n // L
-        rows = terms[:1] if pruned and L == n else terms
+        first_only = pruned and L == n
         if m <= blocks:
             for k in range(m):
                 ts = [x[k + r * m :: L] for r in range(b)]
                 if k:
                     for r in range(1, b):
                         ts[r] = list(map(mul, ts[r], repeat(roots[blocks * k * r], blocks)))
-                for q, row in enumerate(rows):
-                    x[k + q * m :: L] = _accumulate(ts, row)
+                for q, y in enumerate(_pair_butterfly(ts, cos, isin, first_only)):
+                    x[k + q * m :: L] = y
         else:
             tw = [None] + [roots[: blocks * r * m : blocks * r] for r in range(1, b)]
             for off in range(0, n, L):
                 ts = [x[off + r * m : off + r * m + m] for r in range(b)]
                 for r in range(1, b):
                     ts[r] = _twiddled(ts[r], tw[r])
-                for q, row in enumerate(rows):
-                    x[off + q * m : off + q * m + m] = _accumulate(ts, row)
-        nonzero = sum(w is not None for row in rows for _, w in row)
-        mults += ((b - 1) * (m - 1) + nonzero * m) * blocks
+                for q, y in enumerate(_pair_butterfly(ts, cos, isin, first_only)):
+                    x[off + q * m : off + q * m + m] = y
+        mults += ((b - 1) * (m - 1) + (0 if first_only else 2 * h * h * m)) * blocks
         L *= b
     return mults
 
 
-def _accumulate(ts, row):
-    # ((ts[0] + ts[1] w) + ts[2] w') + ...: one output of the radix-b butterfly, slice-wise
-    acc = ts[0]
-    for r, w in row:
-        acc = list(map(add, acc, ts[r] if w is None else map(mul, ts[r], repeat(w))))
-    return acc
+def _pair_butterfly(ts, cos, isin, first_only):
+    """Outputs y_0, ..., y_{b-1} of one radix-b butterfly on the twiddled slices ts, slice-wise.
+
+    Pairs r with b-r (Singleton, 1969): s_r = t_r + t_{b-r} and
+    d_r = t_r - t_{b-r}. Then y_0 = t_0 + sum_r s_r, and for q = 1..h,
+    h = (b-1)//2, y_q = A_q + B_q and y_{b-q} = A_q - B_q with
+    A_q = t_0 + sum_r cos(2*pi*q*r/b) s_r and B_q = sum_r i*sin(2*pi*q*r/b) d_r.
+    An even b adds (-1)**q t_{b/2} to A_q and has the output
+    y_{b/2} = t_0 + sum_r (-1)**r s_r + (-1)**(b/2) t_{b/2}, all without
+    multiplying. That is 2*h*h multiplications per position. ``first_only``
+    returns [y_0] alone.
+    """
+    b = len(ts)
+    h = len(cos)
+    t0 = ts[0]
+    s = [list(map(add, ts[r], ts[b - r])) for r in range(1, h + 1)]
+    mid = ts[h + 1] if b % 2 == 0 else None
+    y0 = t0
+    for sr in s:
+        y0 = map(add, y0, sr)
+    if mid is not None:
+        y0 = map(add, y0, mid)
+    if first_only:
+        return [list(y0)]
+    d = [list(map(sub, ts[r], ts[b - r])) for r in range(1, h + 1)]
+    y = [None] * b
+    y[0] = list(y0)
+    for q in range(1, h + 1):
+        a = t0
+        for sr, c in zip(s, cos[q - 1]):
+            a = map(add, a, map(mul, sr, repeat(c)))
+        if mid is not None:
+            a = map(sub if q % 2 else add, a, mid)
+        a = list(a)
+        bq = map(mul, d[0], repeat(isin[q - 1][0]))
+        for dr, c in zip(d[1:], isin[q - 1][1:]):
+            bq = map(add, bq, map(mul, dr, repeat(c)))
+        bq = list(bq)
+        y[q] = list(map(add, a, bq))
+        y[b - q] = list(map(sub, a, bq))
+    if mid is not None:
+        ym = t0
+        for r, sr in enumerate(s, 1):
+            ym = map(sub if r % 2 else add, ym, sr)
+        y[h + 1] = list(map(sub if (h + 1) % 2 else add, ym, mid))
+    return y
 
 
 def idft(z, plan: DftPlan, ops: OpCounter | None = None, keep: int | None = None):
@@ -358,7 +414,7 @@ def circulant_matvec(first_row, v, base: int | None = None, ops: OpCounter | Non
     u = idft(v, plan, ops)
     if ops is not None:
         ops.add(n)
-    return dft([p * q for p, q in zip(fa, u)], plan, ops)
+    return dft(list(map(mul, fa, u)), plan, ops)
 
 
 def neg_circulant_matvec(first_row, v, base: int | None = None, ops: OpCounter | None = None):
@@ -378,13 +434,13 @@ def neg_circulant_matvec(first_row, v, base: int | None = None, ops: OpCounter |
     roots = plan.root_table[: (n + 1) // 2]
     d = [None] * n
     d[::2] = roots
-    d[1::2] = [w * rho for w in roots[: n // 2]]
-    row = [p * complex(a) for p, a in zip(d, first_row)]
-    w = circulant_matvec(row, [p.conjugate() * complex(u) for p, u in zip(d, v)], plan.base, ops)
+    d[1::2] = map(mul, roots[: n // 2], repeat(rho))
+    row = list(map(mul, d, map(complex, first_row)))
+    w = circulant_matvec(row, list(map(mul, map(complex.conjugate, d), map(complex, v))), plan.base, ops)
     if ops is not None:
         # odd rho powers plus three diagonal scalings of length n
         ops.add(n // 2 + 3 * n)
-    return [p * q for p, q in zip(d, w)]
+    return list(map(mul, d, w))
 
 
 @dataclass(frozen=True)
@@ -431,14 +487,25 @@ def circulant_embedding_row(spec: ToeplitzSpec, base: int) -> list:
 
 
 def toeplitz_matvec_embed(spec: ToeplitzSpec, v, base: int, ops: OpCounter | None = None):
-    """T v by embedding T into a (base*n)-circulant, multiplying, truncating."""
+    """T v by embedding T into a (base*n)-circulant C, multiplying, truncating.
+
+    T v is the first n entries of C (v, 0, ..., 0), computed as
+    circulant_matvec would, with three transforms of length base*n, but
+    pruned: the inverse transform takes v unpadded, so its first stage is a
+    copy, and the last transform keeps n outputs, so its last stage computes
+    one output block. Outputs equal those of the unpruned product except for
+    the signs of zeros.
+    """
     n = spec.n
     if len(v) != n:
         raise ValueError(f"length mismatch: matrix {n}, vector {len(v)}")
     _check_power(n, base)
-    row = circulant_embedding_row(spec, base)
-    padded = list(v) + [0] * ((base - 1) * n)
-    return circulant_matvec(row, padded, base, ops)[:n]
+    plan = plan_for(base * n, base)
+    fa = dft(circulant_embedding_row(spec, base), plan, ops)
+    u = idft(v, plan, ops)
+    if ops is not None:
+        ops.add(base * n)
+    return dft(list(map(mul, fa, u)), plan, ops, keep=n)
 
 
 def toeplitz_matvec_split(spec: ToeplitzSpec, v, base: int | None = None, ops: OpCounter | None = None):
@@ -453,13 +520,13 @@ def toeplitz_matvec_split(spec: ToeplitzSpec, v, base: int | None = None, ops: O
     if base is None:
         base = infer_base(n)
     d = spec.diags  # t_k sits at d[n - 1 + k]
-    lo = [complex(t) for t in d[n - 1 :: -1]]  # t_{-i}
-    hi = [0j] + [complex(t) for t in d[: n - 1 : -1]]  # t_{n-i}, with t_n = 0
-    row = [(p + q) * 0.5 for p, q in zip(lo, hi)]
-    row_neg = [(p - q) * 0.5 for p, q in zip(lo, hi)]
+    lo = list(map(complex, d[n - 1 :: -1]))  # t_{-i}
+    hi = [0j, *map(complex, d[: n - 1 : -1])]  # t_{n-i}, with t_n = 0
+    row = list(map(mul, map(add, lo, hi), repeat(0.5)))
+    row_neg = list(map(mul, map(sub, lo, hi), repeat(0.5)))
     w1 = circulant_matvec(row, v, base, ops)
     w2 = neg_circulant_matvec(row_neg, v, base, ops)
-    return [p + q for p, q in zip(w1, w2)]
+    return list(map(add, w1, w2))
 
 
 def toeplitz_matvec_naive(spec: ToeplitzSpec, v, ops: OpCounter | None = None):

@@ -101,9 +101,16 @@ def _kronecker(parts, v, ops: OpCounter | None = None):
     that is v gives two squarings. (h(X) + h(-X)) / 2 holds the even
     coefficients of h in beta-bit slots and (h(X) - h(-X)) / (2X) the odd
     ones, both exact divisions (KS2; Harvey, JSC 44, 2009).
+
+    Slot bound: every |p_i| < 2**bits(max|p|) and |v_j| < 2**bits(max|v|),
+    so with bits = bits(max|p|) + bits(max|v|) each coefficient, a sum of at
+    most len(v) < 2**bits(len v) products, is below 2**(bits + bits(len v)).
+    The offset read takes a signed slot of beta bits as its value plus
+    2**(beta-1), so beta = bits + bits(len v) + 1, one sign bit more,
+    rounded up to whole bytes.
     """
     bits = max(max(map(abs, p)) for p in parts).bit_length() + max(map(abs, v)).bit_length()
-    width = (bits + len(v).bit_length() + 9) // 8
+    width = (bits + len(v).bit_length() + 8) // 8
     shift = 4 * width  # X = 2**shift, half a slot
 
     def at_plus_minus(ints):

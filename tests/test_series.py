@@ -172,6 +172,20 @@ def test_kronecker_slot_bound_at_odd_and_even_index():
                 assert _kronecker([p, v], v) == [ltt_matvec_naive(p, v), ltt_matvec_naive(v, v)], (n, bv, sp, sv)
 
 
+def test_kronecker_slot_bound_without_spare_bit():
+    # bits(p) + bits(v) + bits(n) = 64 + 56 + 7 is 7 mod 8, where the slot is
+    # exactly that plus one sign bit (16 bytes; a spare bit would cost a 17th).
+    # The largest coefficient, last at an even (n = 127) or odd (n = 126)
+    # index, needs all 127 bits of magnitude.
+    for n in (126, 127):
+        for sp, sv in ((1, 1), (1, -1), (-1, 1), (-1, -1)):
+            p = [sp * (2**64 - 1)] * n
+            v = [sv * (2**56 - 1)] * n
+            want = ltt_matvec_naive(p, v)
+            assert abs(want[-1]).bit_length() == 64 + 56 + 7
+            assert _kronecker([p], v) == [want], (n, sp, sv)
+
+
 def test_kronecker_huge_entry_at_odd_index():
     rng = random.Random(53)
     for n in (2, 3, 10, 33):
