@@ -167,10 +167,16 @@ def _suite_series() -> int:
     u = [Fraction(rng.randint(-9, 9), d) for d in range(1, 13)]
     w = [Fraction(rng.randint(-9, 9), d) for d in range(13, 25)]
     n += _require(series.ltt_matvec_kronecker(u, w) == series.ltt_matvec_naive(u, w), "kronecker product")
-    # the two-point kernel reads even and odd coefficients apart: an odd length, and a squaring
+    # the four-point kernel reads even and odd coefficients apart: an odd length, a squaring,
+    # an operand of two planes (entries wider than a digit, ~100x the other operand), and a
+    # squaring at the digit bound, 2t = B + 2 (63 * (2**60 - 1)**2 needs all 126 bits)
     p, q = ([rng.randint(-99, 99) for _ in range(13)] for _ in range(2))
     n += _require(series._kronecker([p], q) == [series.ltt_matvec_naive(p, q)], "kronecker odd length")
     n += _require(series._kronecker([q], q) == [series.ltt_matvec_naive(q, q)], "kronecker squaring")
+    wide = [rng.randint(-(2**800), 2**800) for _ in range(13)]
+    n += _require(series._kronecker([wide], p) == [series.ltt_matvec_naive(wide, p)], "kronecker two planes")
+    edge = [-(2**60 - 1)] * 63
+    n += _require(series._kronecker([edge], edge) == [series.ltt_matvec_naive(edge, edge)], "kronecker digit bound")
     return n
 
 

@@ -9,9 +9,13 @@ product, i.e. plain series multiplication mod ``z**n``.
 The quadratic routines in this module are exact over rationals and serve as
 the reference implementations for every fast path in the package.
 _kronecker is the exact product the solver runs on integer numerators over
-one denominator, by two-point Kronecker substitution: two big-integer
-multiplies of half the size, at +X and -X. ltt_matvec_kronecker wraps it
-for ints and Fractions, and ltt_matvec_naive is its oracle.
+one denominator, by four-point Kronecker substitution: four big-integer
+multiplies of a quarter of the size, of the operands and of their
+reversals at +X and -X. Its digits are t bits, about half the bound B on
+the coefficients' bits, and each coefficient, which spans two digits, is
+read from the bottom of one product and the top of the reversed one.
+ltt_matvec_kronecker wraps it for ints and Fractions, and
+ltt_matvec_naive is its oracle.
 ltt_solve_forward is the baseline the fast solver is judged against: its
 _substitute kernel keeps the column and the unknowns as integer numerators
 over running lcm denominators, one integer dot product and one Fraction per
@@ -74,58 +78,99 @@ def _values(nums, den, ints):
     return [c // den for c in nums[:ints]] + [Fraction(c, den) for c in nums[ints:]]
 
 
-def _kronecker_pack(ints, width):
-    # sum_i ints[i] * 256**(width*i): each sign's magnitudes joined as width-byte slots
-    pos = b"".join((x if x > 0 else 0).to_bytes(width, "little") for x in ints)
-    neg = b"".join((-x if x < 0 else 0).to_bytes(width, "little") for x in ints)
-    return int.from_bytes(pos, "little") - int.from_bytes(neg, "little")
+def _kronecker_digit_bits(parts, v):
+    """Digit width t of _kronecker: the smallest multiple of 16 with 2t >= B + 2.
+
+    Every |p_i| < 2**bits(max|p|) and |v_j| < 2**bits(max|v|), and each
+    coefficient of a product is a sum of at most len(v) < 2**bits(len v)
+    pair products, so |c| < 2**B with B = bits(max|p|) + bits(max|v|) +
+    bits(len v). With Y = 2**t that is |c| < Y**2 / 4: a coefficient spans
+    about two digits, and t is about B/2, not the width of the widest entry.
+    """
+    bits = max(max(map(abs, p)) for p in parts).bit_length() + max(map(abs, v)).bit_length()
+    return (bits + len(v).bit_length() + 33) // 32 * 16
 
 
-def _kronecker_unpack(value, width, count):
-    # the low count slots of value = sum_k c_k 256**(width*k), as signed ints;
-    # adding 2**(beta-1) to each of them makes every slot read non-negative
-    offset = int.from_bytes((bytes(width - 1) + b"\x80") * count, "little")
-    raw = ((value + offset) & ((1 << (8 * width * count)) - 1)).to_bytes(width * count, "little")
-    half = 1 << (8 * width - 1)
-    return [int.from_bytes(raw[k : k + width], "little") - half for k in range(0, width * count, width)]
+def _kronecker_evaluate(ints, t):
+    # [a(X), a(-X), r(X), r(-X)], X = 2**(t/2), for a = ints and its reversal r.
+    # Each entry plus 2**(wide-1) is one wide-bit chunk, wide = t, or 2t when
+    # an entry has t bits or more; a(+-X) = even(Y) +- X odd(Y), Y = X**2,
+    # with even and odd joined apart from the chunks, and the reversal's from
+    # the same chunks in reverse. At 2t a half is two planes, the entries at
+    # its even and at its odd digits, each in 2t-bit slots, the second one
+    # digit up.
+    planes = 1 if max(map(abs, ints)).bit_length() < t else 2
+    wide = planes * t
+    chunks = [(x + (1 << (wide - 1))).to_bytes(wide // 8, "little") for x in ints]
+    ones = b"\x01" + bytes(t // 8 - 1)
+    even_off = int.from_bytes(ones * ((len(ints) + 1) // 2), "little") << (wide - 1)
+    odd_off = int.from_bytes(ones * (len(ints) // 2), "little") << (wide - 1 + t // 2)
+    out = []
+    for c in (chunks, chunks[::-1]):
+        if planes == 1:
+            even, odd = int.from_bytes(b"".join(c[0::2]), "little"), int.from_bytes(b"".join(c[1::2]), "little")
+        else:
+            even = int.from_bytes(b"".join(c[0::4]), "little") + (int.from_bytes(b"".join(c[2::4]), "little") << t)
+            odd = int.from_bytes(b"".join(c[1::4]), "little") + (int.from_bytes(b"".join(c[3::4]), "little") << t)
+        even, odd = even - even_off, (odd << (t // 2)) - odd_off
+        out += (even + odd, even - odd)
+    return out
+
+
+def _kronecker_recover(low, high, top, count, t):
+    # e_0..e_{count-1} from low = sum_k e_k Y**k and high = sum_k e_k Y**(top-k),
+    # every |e_k| < Y**2 / 4 (see _kronecker)
+    if not count:
+        return []
+    w, mask, half = t // 8, (1 << t) - 1, 1 << (t - 1)
+    lows = (low & ((1 << (t * count)) - 1)).to_bytes(w * count, "little")
+    # digits top-1, top-2, ... of high, above one zero digit for the last step
+    ups = bytes(w) + ((high >> (t * (top + 1 - count))) & ((1 << (t * count - t)) - 1)).to_bytes(w * count - w, "little")
+    out, carry, g = [], 0, (high >> (t * top)) - half  # g: the estimate of e_k, less Y/2
+    for i, j in zip(range(0, w * count, w), range(w * count - w, -1, -w)):
+        r = (int.from_bytes(lows[i : i + w], "little") - carry - g) & mask
+        e = g + r  # e = digit - carry mod Y, and e - (g + Y/2) in [-Y/2, Y/2)
+        out.append(e)
+        carry = (carry + e) >> t
+        g = ((half - r) << t) + int.from_bytes(ups[j : j + w], "little") - half
+    return out
 
 
 def _kronecker(parts, v, ops: OpCounter | None = None):
-    """Integer l.t.T. products p(z) v(z) mod z**len(p), p in parts, by two-point Kronecker substitution.
+    """Integer l.t.T. products p(z) v(z) mod z**len(p), p in parts, by four-point Kronecker substitution.
 
-    Slots are beta bits wide, room for any sum of len(v) products plus a
-    sign bit. Each operand is evaluated at +X and -X, X = 2**(beta/2): its
-    even and odd coefficients are packed apart in beta-bit slots, and
-    p(+-X) = even +- X odd. So h = p v is two multiplies of half the size,
-    h(X) = p(X) v(X) and h(-X) = p(-X) v(-X); v is evaluated once, and a p
-    that is v gives two squarings. (h(X) + h(-X)) / 2 holds the even
-    coefficients of h in beta-bit slots and (h(X) - h(-X)) / (2X) the odd
-    ones, both exact divisions (KS2; Harvey, JSC 44, 2009).
+    h = p v, of degree D = len(p) + len(v) - 2, is read off its values at
+    +-X and those of its reversal z**D h(1/z) at +-X, X = 2**(t/2) with t
+    from _kronecker_digit_bits: four multiplies of a quarter of the size
+    (KS4; Harvey, JSC 44, 2009). Each operand and its reversal are evaluated
+    at +-X (_kronecker_evaluate), v once for all parts, and a p that is v
+    gives four squarings. With Y = X**2 = 2**t, (h(X) + h(-X)) / 2 =
+    sum_k e_k Y**k holds the even coefficients e_k = h_2k and (h(X) -
+    h(-X)) / (2X) the odd ones; each spans about two digits, so neighbours
+    overlap. The same sums for the reversal give high = sum_k e_k Y**(K-k),
+    K = D // 2, for the evens and likewise for the odds, but an odd D swaps
+    them: the reversal's even coefficients are then h's odd ones.
 
-    Slot bound: every |p_i| < 2**bits(max|p|) and |v_j| < 2**bits(max|v|),
-    so with bits = bits(max|p|) + bits(max|v|) each coefficient, a sum of at
-    most len(v) < 2**bits(len v) products, is below 2**(bits + bits(len v)).
-    The offset read takes a signed slot of beta bits as its value plus
-    2**(beta-1), so beta = bits + bits(len v) + 1, one sign bit more,
-    rounded up to whole bytes.
+    Recovery, from the bottom of low and the top of high at once: with carry
+    = floor(sum_{j<k} e_j Y**j / Y**k), digit k of low is e_k + carry mod Y;
+    with g = floor(sum_{j>=k} e_j Y**(k-j)), read from the top of high
+    less the e_j already found, |g - e_k| < 1 + sum_{j>=1} |e_{k+j}| Y**-j
+    < 1 + (Y**2/4) / (Y - 1) < Y/4 + 2. So e_k is the one integer congruent
+    to digit - carry mod Y with e_k - g in [-Y/2, Y/2) (Y >= 2**16), and
+    both carry and g step to k + 1 with a few operations on ints of about
+    2t bits. Only the len(p) wanted coefficients are recovered.
     """
-    bits = max(max(map(abs, p)) for p in parts).bit_length() + max(map(abs, v)).bit_length()
-    width = (bits + len(v).bit_length() + 8) // 8
-    shift = 4 * width  # X = 2**shift, half a slot
-
-    def at_plus_minus(ints):
-        even, odd = _kronecker_pack(ints[0::2], width), _kronecker_pack(ints[1::2], width) << shift
-        return even + odd, even - odd
-
-    v_plus, v_minus = at_plus_minus(v)
+    t = _kronecker_digit_bits(parts, v)
+    shift = t // 2 + 1  # dividing by 2X
+    v_at = _kronecker_evaluate(v, t)
     out = []
     for p in parts:
-        n = len(p)
-        p_plus, p_minus = (v_plus, v_minus) if p is v else at_plus_minus(p)
-        h_plus, h_minus = p_plus * v_plus, p_minus * v_minus
+        n, top = len(p), len(p) + len(v) - 2
+        hp, hm, rp, rm = map(mul, v_at if p is v else _kronecker_evaluate(p, t), v_at)
+        high = (rp + rm) >> 1, (rp - rm) >> shift  # the reversal's evens and odds
         coeffs = [0] * n
-        coeffs[0::2] = _kronecker_unpack((h_plus + h_minus) >> 1, width, (n + 1) // 2)
-        coeffs[1::2] = _kronecker_unpack((h_plus - h_minus) >> (shift + 1), width, n // 2)
+        coeffs[0::2] = _kronecker_recover((hp + hm) >> 1, high[top % 2], top // 2, (n + 1) // 2, t)
+        coeffs[1::2] = _kronecker_recover((hp - hm) >> shift, high[1 - top % 2], (top - 1) // 2, n // 2, t)
         out.append(coeffs)
         if ops is not None:
             ops.add(n * (n + 1) // 2)
@@ -133,7 +178,7 @@ def _kronecker(parts, v, ops: OpCounter | None = None):
 
 
 def ltt_matvec_kronecker(a, v, ops: OpCounter | None = None):
-    """Exact l.t.T. product by two-point Kronecker substitution: two half-size multiplies.
+    """Exact l.t.T. product by four-point Kronecker substitution: four quarter-size multiplies.
 
     Rationals only: _kronecker on the operands' numerators over their lcm
     denominators. Returns what ltt_matvec_naive returns, values and types

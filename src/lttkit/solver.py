@@ -37,13 +37,13 @@ picks one level kernel and one final product. Rational inputs (base 2 and
 one reduced denominator. An assembly step applies a companion column to a
 vector spread by the base, whose residue class r is the l.t.T. product of
 hat[r::base] with the vector. Each product of a residue class, in the
-levels and the assembly, is one series._kronecker call: two big-integer
-multiplies of half the size, by two-point Kronecker substitution. A base-2
-level's two products are squarings, next = A0**2 - z A1**2 with A0, A1 =
-a[0::2], a[1::2]. The base-3 companion column stays a naive sum. A column
-that is already zero off the multiples of the base skips its level in
-either field: its companion column is e_1, and its assembly step is a pure
-spread with no multiplication.
+levels and the assembly, is one series._kronecker call: four big-integer
+multiplies of a quarter of the size, by four-point Kronecker substitution.
+A base-2 level's two products are squarings, next = A0**2 - z A1**2 with
+A0, A1 = a[0::2], a[1::2]. The base-3 companion column stays a naive sum.
+A column that is already zero off the multiples of the base skips its
+level in either field: its companion column is e_1, and its assembly step
+is a pure spread with no multiplication.
 
 Complex inputs run each level in the transform domain, as one Graeffe
 root-squaring step: the next column holds the z**base coefficients of

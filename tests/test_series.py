@@ -8,6 +8,7 @@ from lttkit.opcount import OpCounter
 from lttkit.series import (
     SingularMatrixError,
     _kronecker,
+    _kronecker_digit_bits,
     ltt_compose,
     ltt_matvec_kronecker,
     ltt_matvec_naive,
@@ -195,6 +196,75 @@ def test_kronecker_huge_entry_at_odd_index():
             v = [rng.randint(-9, 9) for _ in range(n)]
             for a, b in ((p, v), (v, p), (p, p)):
                 assert _kronecker([a], b) == [ltt_matvec_naive(a, b)], (n, sign)
+
+
+def test_kronecker_digit_width():
+    # the digit is t ~ B/2 bits, B = bits(max|p|) + bits(max|v|) + bits(len v),
+    # the smallest multiple of 16 with 2t >= B + 2; a digit as wide as B, or
+    # as the widest entry, gives the same products at about twice the cost
+    balanced = ([2**64 - 1] * 127, [2**56 - 1] * 127)  # B = 64 + 56 + 7 = 127
+    unbalanced = ([-(2**1700) + 1] * 128, [255] * 128)  # B = 1700 + 8 + 8 = 1716
+    for (p, v), t in ((balanced, 80), (unbalanced, 864)):
+        assert _kronecker_digit_bits([p], v) == t
+    assert _kronecker_digit_bits([[1]], [1]) == 16
+
+
+def test_kronecker_at_the_digit_bound():
+    # 2t = B + 2 exactly, at B = 62 (t = 32) and B = 126 (t = 64): all-maximal
+    # entries of every sign pair make the last coefficient need all B bits.
+    # len(v) = n and n - 1 give the degree D both parities, so the reversed
+    # product's evens are h's evens and its odds in turn
+    for bits_p, bits_v, lengths in ((28, 28, (62, 63)), (64, 55, (126, 127))):
+        for n in lengths:
+            for m in (n, n - 1):
+                for sp, sv in ((1, 1), (1, -1), (-1, 1), (-1, -1)):
+                    p, v = [sp * (2**bits_p - 1)] * n, [sv * (2**bits_v - 1)] * m
+                    bound = bits_p + bits_v + m.bit_length()
+                    assert 2 * _kronecker_digit_bits([p], v) == bound + 2
+                    want = _truncated_naive(p, v)
+                    assert abs(want[-1]).bit_length() == bound
+                    assert _kronecker([p], v) == [want], (n, m, sp, sv)
+                    assert _kronecker([v], v) == [ltt_matvec_naive(v, v)], (m, sv)
+
+
+def test_kronecker_two_planes():
+    # entries of t bits or more are packed as two planes: 1700 x 8 and
+    # 5000 x 1 bits, either operand wide, with negative entries that are exact
+    # multiples of 2**t (their chunk's low digit is 0) and of the largest magnitude
+    rng = random.Random(59)
+    for bits_w, bits_n in ((1700, 8), (5000, 1)):
+        for n in (1, 2, 3, 4, 5, 8, 9, 17, 40):
+            wide = [rng.randint(-(2**bits_w) + 1, 2**bits_w - 1) for _ in range(n)]
+            narrow = [rng.randint(-(2**bits_n) + 1, 2**bits_n - 1) for _ in range(n)]
+            t = _kronecker_digit_bits([wide], narrow)
+            assert t < bits_w
+            wide[n // 2] = -(2**t) * rng.randint(1, 2 ** (bits_w - t - 1))
+            wide[-1] = -(2**t)
+            wide[0] = rng.choice((-1, 1)) * (2**bits_w - 1)
+            for a, b in ((wide, narrow), (narrow, wide), (wide, wide)):
+                assert _kronecker([a], b) == [ltt_matvec_naive(a, b)], (bits_w, bits_n, n)
+    # the widest entry has exactly t bits: an offset chunk of t bits cannot hold it
+    for n in (9, 10, 15):
+        wide = [-(2**32) + 1, 2**31] + [rng.randint(-(2**32) + 1, 2**32 - 1) for _ in range(n - 2)]
+        narrow = [rng.randint(-(2**20) + 1, 2**20 - 1) for _ in range(n - 1)] + [2**20 - 1]
+        assert _kronecker_digit_bits([wide], narrow) == 32
+        for a, b in ((wide, narrow), (narrow, wide)):
+            assert _kronecker([a], b) == [ltt_matvec_naive(a, b)], n
+
+
+def test_kronecker_short_and_long_v():
+    # len(v) = 1 leaves the reversed product exactly count - 1 digits below
+    # its top, the fewest the recovery can read; a longer v runs the product
+    # far past the len(p) coefficients recovered. All-maximal entries of one
+    # sign keep every coefficient near the digit bound
+    rng = random.Random(61)
+    for n in (1, 2, 3, 7, 16, 33):
+        for m in sorted({1, 2, max(n // 2, 1), n + 1, 3 * n + 5}):
+            for p, v in (
+                ([2**40 - 1] * n, [-(2**21 - 1)] * m),
+                ([rng.randint(-(2**40), 2**40) for _ in range(n)], [rng.randint(-(2**21), 2**21) for _ in range(m)]),
+            ):
+                assert _kronecker([p, v], v) == [_truncated_naive(p, v), ltt_matvec_naive(v, v)], (n, m)
 
 
 def test_kronecker_shape_error():
