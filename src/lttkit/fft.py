@@ -27,13 +27,14 @@ level, and lie closer to the exact transform.
 Transforms are pruned where zeros are known or outputs unread (Markel,
 1971; Sorensen & Burrus, 1993). ``dft`` and ``idft`` take a vector shorter
 than the plan, with implicit zeros, and ``keep``, the number of leading
-outputs wanted. An input of length <= n/base puts one nonzero entry in each
-first-stage block, so that stage is a copy of the gathered entries; with
-keep <= n/base the last stage computes only the output block that holds
-them. A pruned transform's outputs equal the full one's except for the
-signs of zeros. ``toeplitz_matvec_embed`` prunes its transforms of length
-b*n this way: v fills n of the inverse transform's inputs, and n outputs
-of the last transform are read.
+outputs wanted. At every base, an input of length <= n/base puts one
+nonzero entry in each first-stage block, so that stage is a copy. At base
+b >= 3, keep <= n/base computes only output block 0 of the last stage, a
+sum with no multiplication; at base 2 that would skip only additions, and
+``keep`` slices the outputs. Outputs equal the full transform's except for
+the signs of zeros. ``toeplitz_matvec_embed`` prunes its transforms of
+length b*n this way: v fills n of the inverse transform's inputs, and n
+outputs of the last transform are read.
 
 Two procedures compute ``T v`` for a full Toeplitz ``T`` of order n = b**k:
 embedding T into a (b*n) x (b*n) circulant, or splitting T into the sum of a
@@ -157,13 +158,13 @@ def dft(z, plan: DftPlan, ops: OpCounter | None = None, keep: int | None = None)
     level: a block takes (base-1)(m-1) twiddle multiplications plus 2*h*h*m
     for its butterflies, h = (base-1)//2.
 
-    Known zeros and unread outputs are skipped. With len(z) <= n/base every
-    first-stage block holds one nonzero entry, so the load gathers only
-    those entries, in the order of the length-n/base plan, and copies each
-    into its block in place of that stage. With keep <= n/base the last
-    stage computes only the output block that holds them. Outputs then
-    equal those of the zero-padded, untruncated transform except for the
-    signs of zeros, at a lower count.
+    Known zeros and unread outputs are skipped. At every base, len(z) <=
+    n/base puts one nonzero entry in each first-stage block, so the load
+    gathers only those entries, in the order of the length-n/base plan, and
+    copies each into its block in place of that stage. At base >= 3,
+    keep <= n/base computes only the last stage's output block that holds
+    them; at base 2 ``keep`` slices the full outputs. Outputs equal those of
+    the zero-padded, untruncated transform except for the signs of zeros.
     """
     n, base = plan.n, plan.base
     if len(z) > n:
@@ -182,11 +183,10 @@ def dft(z, plan: DftPlan, ops: OpCounter | None = None, keep: int | None = None)
     else:
         x = list(map(complex, plan.gather(_padded(z, n))))
         first = base
-    pruned = keep <= m
     if base == 2:
-        mults = _radix2(x, plan.root_table, first, pruned)
+        mults = _radix2(x, plan.root_table, first)
     else:
-        mults = _radix_b(x, plan.root_table, base, first, pruned)
+        mults = _radix_b(x, plan.root_table, base, first, keep <= m)
     if ops is not None:
         ops.add(mults)
     return x if keep == n else x[:keep]
@@ -203,16 +203,14 @@ def _twiddled(v, w):
     return out
 
 
-def _radix2(x, roots, L, pruned):
+def _radix2(x, roots, L):
     """Radix-2 stages L, 2L, ..., n in place on digit-reversed x; returns the multiplication count.
 
     One sweep runs the stages L and 2L together as a radix-2**2 butterfly on
     the four entries off+k, off+m+k, off+L+k, off+L+m+k (m = L/2): the
     stage-L results stay in locals and only the stage-2L results are stored.
-    An odd stage count ends with one plain stage. ``pruned`` computes only
-    the first n/2 outputs of the last stage: on slices when it ends a sweep,
-    which then has one block, and in place when it is the plain stage.
-    Twiddle index 0 is not multiplied.
+    An odd stage count ends with one plain stage. Every stage computes all
+    its outputs. Twiddle index 0 is not multiplied.
     """
     n = len(x)
     mults = 0
@@ -221,9 +219,6 @@ def _radix2(x, roots, L, pruned):
         w1 = roots[: n // 2 : n // L]  # stage L twiddles, k = 0..m-1
         w2 = roots[: n // 2 : n // (2 * L)]  # stage 2L twiddles, k = 0..L-1
         mults += (m - 1) * (n // L) + (L - 1) * (n // (2 * L))
-        if pruned and 2 * L == n:
-            _pruned_last_pair(x, m, w1, w2)
-            return mults
         wm = w2[m]
         for a in range(0, n, 2 * L):
             b = a + m
@@ -262,11 +257,6 @@ def _radix2(x, roots, L, pruned):
     if L <= n:
         m = L >> 1
         mults += m - 1
-        if pruned:  # in place: slices would hold two more half-length lists
-            for k in range(1, m):
-                x[k] += x[m + k] * roots[k]
-            x[0] += x[m]
-            return mults
         for k in range(1, m):
             w = roots[k]
             t = x[m + k] * w
@@ -278,17 +268,6 @@ def _radix2(x, roots, L, pruned):
         x[0] = u + t
         x[m] = u - t
     return mults
-
-
-def _pruned_last_pair(x, m, w1, w2):
-    # outputs 0..2m-1 of the radix-2**2 butterfly on the one block of length 4m,
-    # slice-wise: x[k] = (u + t) + c * w2[k] and x[m+k] = (u - t) + d * w2[m+k]
-    L = 2 * m
-    u, t = x[:m], _twiddled(x[m:L], w1)
-    v, s = x[L : L + m], _twiddled(x[L + m :], w1)
-    c = _twiddled(list(map(add, v, s)), w2)
-    x[:m] = map(add, map(add, u, t), c)
-    x[m:L] = map(add, map(sub, u, t), map(mul, map(sub, v, s), w2[m:]))
 
 
 def _radix_b(x, roots, b, L, pruned):
@@ -492,9 +471,9 @@ def toeplitz_matvec_embed(spec: ToeplitzSpec, v, base: int, ops: OpCounter | Non
     T v is the first n entries of C (v, 0, ..., 0), computed as
     circulant_matvec would, with three transforms of length base*n, but
     pruned: the inverse transform takes v unpadded, so its first stage is a
-    copy, and the last transform keeps n outputs, so its last stage computes
-    one output block. Outputs equal those of the unpruned product except for
-    the signs of zeros.
+    copy, and the last transform keeps n outputs (at base >= 3 one output
+    block of its last stage; at base 2 a slice). Outputs equal those of the
+    unpruned product except for the signs of zeros.
     """
     n = spec.n
     if len(v) != n:

@@ -1,5 +1,6 @@
 import cmath
 import random
+import tracemalloc
 from math import log
 
 import pytest
@@ -113,6 +114,29 @@ def test_keep_returns_the_leading_outputs_bit_for_bit(base, top):
                 ops = OpCounter()
                 assert _bits(transform(z, plan, ops, keep)) == _bits(full[:keep]), (n, keep)
                 assert ops.mults <= full_ops.mults
+                if base == 2:
+                    # both halves of a radix-2 block share each twiddled product;
+                    # idft also scales only the outputs it keeps
+                    unscaled = n - keep if transform is idft else 0
+                    assert ops.mults + unscaled == full_ops.mults, (n, keep)
+
+
+@pytest.mark.parametrize("n", [2**12, 2**14])
+def test_kept_base2_transform_peaks_no_higher_than_the_full_one(n):
+    # even stage counts, so the last stage ends a radix-2**2 sweep, which runs in place
+    plan = plan_for(n, 2)
+    z = _rand_vec(random.Random(n), n)
+    peaks = []
+    tracemalloc.start()
+    try:
+        for keep in (None, n // 2):
+            tracemalloc.reset_peak()
+            base_size = tracemalloc.get_traced_memory()[0]
+            dft(z, plan, keep=keep)
+            peaks.append(tracemalloc.get_traced_memory()[1] - base_size)
+    finally:
+        tracemalloc.stop()
+    assert peaks[1] <= 1.05 * peaks[0], peaks
 
 
 def test_pruned_transforms_count_less():

@@ -1,4 +1,4 @@
-"""Package hygiene: the stdlib-only import closure, the oracles' independence and the public API."""
+"""Package hygiene: the stdlib-only import closure, independent oracles, the public API, no unread private function."""
 
 import ast
 import importlib
@@ -83,3 +83,24 @@ def test_public_names_are_pinned_and_resolve():
         assert len(set(module.__all__)) == len(module.__all__), name
         for attr in module.__all__:
             assert hasattr(module, attr), (name, attr)
+
+
+def test_every_private_function_is_used():
+    # a module-level _name defined in src/lttkit and read nowhere in its code is
+    # dead; docstrings, comments and imports do not count as reads
+    trees = {path.name: ast.parse(path.read_text(encoding="utf-8")) for path in (SRC / "lttkit").glob("*.py")}
+    read = set()
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                read.add(node.attr)
+    private = [
+        (module, node.name)
+        for module, tree in trees.items()
+        for node in tree.body
+        if isinstance(node, ast.FunctionDef) and node.name.startswith("_") and not node.name.startswith("__")
+    ]
+    assert private
+    assert [(module, name) for module, name in private if name not in read] == []
