@@ -207,7 +207,7 @@ def _suite_fft() -> int:
     dense = fft.toeplitz_matvec_naive(spec, v)
     for name, got in (
         ("embed", fft.toeplitz_matvec_embed(spec, v, 2)),
-        ("split", fft.toeplitz_matvec_split(spec, v)),
+        ("split", fft.toeplitz_matvec_split(spec, v, 2)),
     ):
         n += _require(max(abs(p - q) for p, q in zip(got, dense)) < 1e-10, name)
     return n

@@ -9,8 +9,9 @@ Conventions fixed here and relied on everywhere else:
   ``C(a) = W d(W a) W^{-1}``, so one product costs three transforms plus
   one pointwise multiply. The (-1)-circulant version conjugates by the
   diagonal of powers of ``rho = exp(pi*i/n)``.
-* Transform lengths must be pure powers of one base; mixed lengths are
-  rejected rather than planned mixed-radix.
+* Every transform and product takes the base it runs at, and its length
+  must be a power of that base; any other length raises ValueError rather
+  than being planned mixed-radix or as one radix-n stage.
 
 The digit-reversed load is one C-level gather kept on the plan. Two
 kernels then run a transform's stages. ``_radix2`` runs the base-2 stages
@@ -83,21 +84,6 @@ def _check_power(n: int, base: int) -> int:
         m //= base
         k += 1
     return k
-
-
-def infer_base(n: int) -> int:
-    """Smallest base b >= 2 with n == b**k (n itself if n is not a proper power)."""
-    if n < 1:
-        raise ValueError("length must be >= 1")
-    if n == 1:
-        return 2
-    for b in range(2, n + 1):
-        m = n
-        while m % b == 0:
-            m //= b
-        if m == 1:
-            return b
-    raise AssertionError("unreachable")
 
 
 class DftPlan:
@@ -376,19 +362,15 @@ def idft(z, plan: DftPlan, ops: OpCounter | None = None, keep: int | None = None
     return list(map(mul, map(complex.conjugate, w), repeat(1.0 / plan.n)))
 
 
-def _resolve_plan(n: int, base: int | None) -> DftPlan:
-    return plan_for(n, infer_base(n) if base is None else base)
-
-
-def circulant_matvec(first_row, v, base: int | None = None, ops: OpCounter | None = None):
+def circulant_matvec(first_row, v, base: int, ops: OpCounter | None = None):
     """Product C(a) v for the circulant with first row a, via three transforms.
 
-    C(a) has entries C[i][j] = a[(j - i) mod n].
+    C(a) has entries C[i][j] = a[(j - i) mod n]; n must be a power of base.
     """
     n = len(first_row)
     if len(v) != n:
         raise ValueError(f"length mismatch: row {n}, vector {len(v)}")
-    plan = _resolve_plan(n, base)
+    plan = plan_for(n, base)
     fa = dft(first_row, plan, ops)
     u = idft(v, plan, ops)
     if ops is not None:
@@ -396,19 +378,19 @@ def circulant_matvec(first_row, v, base: int | None = None, ops: OpCounter | Non
     return dft(list(map(mul, fa, u)), plan, ops)
 
 
-def neg_circulant_matvec(first_row, v, base: int | None = None, ops: OpCounter | None = None):
+def neg_circulant_matvec(first_row, v, base: int, ops: OpCounter | None = None):
     """Product C_-(a) v for the (-1)-circulant with first row a.
 
     C_-(a) has entries a[(j - i) mod n] negated below the diagonal; it is the
-    circulant algebra conjugated by diag(rho**j) with rho**n = -1. The even
-    powers rho**(2k) are the plan's roots of unity w**k, each accurate to an
-    ulp, and the odd ones are w**k * rho; repeated multiplication by rho
-    would let the error grow with j.
+    circulant algebra conjugated by diag(rho**j) with rho**n = -1, and n must
+    be a power of base. The even powers rho**(2k) are the plan's roots of
+    unity w**k, each accurate to an ulp, and the odd ones are w**k * rho;
+    repeated multiplication by rho would let the error grow with j.
     """
     n = len(first_row)
     if len(v) != n:
         raise ValueError(f"length mismatch: row {n}, vector {len(v)}")
-    plan = _resolve_plan(n, base)
+    plan = plan_for(n, base)
     rho = neg_root(n)
     roots = plan.root_table[: (n + 1) // 2]
     d = [None] * n
@@ -487,17 +469,16 @@ def toeplitz_matvec_embed(spec: ToeplitzSpec, v, base: int, ops: OpCounter | Non
     return dft(list(map(mul, fa, u)), plan, ops, keep=n)
 
 
-def toeplitz_matvec_split(spec: ToeplitzSpec, v, base: int | None = None, ops: OpCounter | None = None):
+def toeplitz_matvec_split(spec: ToeplitzSpec, v, base: int, ops: OpCounter | None = None):
     """T v via T = C(a) + C_-(a') with a_i = (t_{-i} + t_{n-i})/2, a'_i = (t_{-i} - t_{n-i})/2.
 
     Indexes i = 0..n-1 and t_n taken as zero; the first rows a, a' recombine
     the wrapped and sign-flipped diagonals so the two algebra members sum to T.
+    n must be a power of base; both products run transforms of length n.
     """
     n = spec.n
     if len(v) != n:
         raise ValueError(f"length mismatch: matrix {n}, vector {len(v)}")
-    if base is None:
-        base = infer_base(n)
     d = spec.diags  # t_k sits at d[n - 1 + k]
     lo = list(map(complex, d[n - 1 :: -1]))  # t_{-i}
     hi = [0j, *map(complex, d[: n - 1 : -1])]  # t_{n-i}, with t_n = 0
@@ -514,21 +495,20 @@ def toeplitz_matvec_naive(spec: ToeplitzSpec, v, ops: OpCounter | None = None):
     if len(v) != n:
         raise ValueError(f"length mismatch: matrix {n}, vector {len(v)}")
     d = spec.diags
-    out = []
-    for i in range(n):
-        out.append(sum(d[n - 1 + i - j] * v[j] for j in range(n)))
+    # row i is t_i, t_{i-1}, ..., t_{i-n+1}: d[n-1+i] down to d[i]
+    out = [sum(map(mul, d[i : n + i][::-1], v)) for i in range(n)]
     if ops is not None:
         ops.add(n * n)
     return out
 
 
-def ltt_matvec_fft(a, v, base: int | None = None, ops: OpCounter | None = None):
+def ltt_matvec_fft(a, v, base: int, ops: OpCounter | None = None):
     """Lower triangular Toeplitz product via the circulant + (-1)-circulant split.
 
     L(a) = (C(r) + C_-(r')) / 2 with first rows r = [a_0, a_{n-1}, ..., a_1]
     and r' = [a_0, -a_{n-1}, ..., -a_1]: six transforms of length n at any
     base, where the circulant embedding takes three of length base*n.
-    Complex-field fast path for the solver; length must be a power of base.
+    Complex-field fast path for the solver; n must be a power of base.
     """
     n = len(a)
     if len(v) != n:

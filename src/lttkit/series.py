@@ -26,6 +26,7 @@ dense_forward_substitution in tests/oracles.py.
 
 from __future__ import annotations
 
+import cmath
 import math
 from fractions import Fraction
 from operator import mul
@@ -270,7 +271,8 @@ def ltt_solve_forward(a, f):
     a_1..a_i are ints, otherwise a Fraction, as in per-term Fraction
     arithmetic. A float or complex entry in either operand makes the solve
     complex, by the plain per-term loop; then an entry of either operand
-    that is NaN, infinite or beyond the double range raises ValueError.
+    that is NaN, infinite or beyond the double range raises ValueError, and
+    a solution that leaves the double range raises OverflowError.
     """
     n = len(a)
     if len(f) != n:
@@ -292,6 +294,8 @@ def ltt_solve_forward(a, f):
         for i in range(n):
             s = f[i] - sum(map(mul, ar[n - 1 - i : n - 1], x))
             x.append(s if a0 == 1 else s / a0)
+        if not all(map(cmath.isfinite, x)):
+            raise OverflowError("the solution leaves the double range")
         return x
     return _substitute(_toeplitz_rows(a, f), _int_prefix(a, first_non_int(f)))
 

@@ -439,7 +439,9 @@ def ltt_solve_fast(a, f, base: int, with_trace: bool = False):
     of the base, typed as ltt_solve_forward. With ``with_trace`` the
     returned pair carries a SolveTrace whose count includes the final
     product. In a complex solve, an entry of the column or the right-hand
-    side that is NaN, infinite or beyond the double range raises ValueError.
+    side that is NaN, infinite or beyond the double range raises ValueError,
+    and a product whose transforms or result leave the double range raises
+    OverflowError.
     """
     if len(f) != len(a):
         raise ValueError(f"length mismatch: column {len(a)}, rhs {len(f)}")
@@ -453,6 +455,8 @@ def ltt_solve_fast(a, f, base: int, with_trace: bool = False):
     if cx:
         pad = [0j] * (_power_at_least(len(a), base) - len(a))
         x = fft.ltt_matvec_fft(inv_col + pad, list(f) + pad, base, ops)[: len(a)]
+        if not all(map(cmath.isfinite, x)):
+            raise OverflowError("the final product leaves the double range")
     else:
         # inv_col(z) = h(z**b): _apply_hat's f(z) * h(z**b), b products of a b-th of the length
         (inv, iden), (nums, fden) = series._numerators(inv_col), series._numerators(f)

@@ -74,6 +74,35 @@ def fsum_dft(z):
     return out
 
 
+def plain_radix2_dft(z):
+    """Textbook radix-2 transform; returns (outputs, multiplication count). len(z) = 2**k.
+
+    A bit-reversed load, then for L = 2, 4, ..., n one per-element
+    butterfly loop per stage: entries off+k and off+L/2+k meet with the
+    twiddle ``cmath.exp(2j*pi*j/n)``, j = k*n/L, and twiddle index 0 is not
+    multiplied.
+    """
+    n = len(z)
+    bits = n.bit_length() - 1
+    x = [complex(z[int(format(i, f"0{bits}b")[::-1], 2) if bits else 0]) for i in range(n)]
+    roots = [cmath.exp(2j * cmath.pi * j / n) for j in range(n // 2)]
+    mults = 0
+    L = 2
+    while L <= n:
+        m = L // 2
+        for off in range(0, n, L):
+            for k in range(m):
+                t = x[off + m + k]
+                if k:
+                    t = t * roots[k * (n // L)]
+                    mults += 1
+                u = x[off + k]
+                x[off + k] = u + t
+                x[off + m + k] = u - t
+        L *= 2
+    return x, mults
+
+
 def dense_circulant_matvec(first_row, v):
     n = len(first_row)
     return [sum(first_row[(j - i) % n] * v[j] for j in range(n)) for i in range(n)]

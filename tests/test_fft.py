@@ -13,6 +13,7 @@ from oracles import (
     max_abs_err,
     max_rel_err,
     naive_dft,
+    plain_radix2_dft,
 )
 
 from lttkit.fft import (
@@ -22,7 +23,6 @@ from lttkit.fft import (
     circulant_matvec,
     dft,
     idft,
-    infer_base,
     ltt_matvec_fft,
     neg_circulant_matvec,
     plan_for,
@@ -82,6 +82,23 @@ def test_dft_every_length_matches_naive_oracle(base, top):
         n = base**k
         z = _rand_vec(rng, n)
         assert max_rel_err(dft(z, plan_for(n, base)), naive_dft(z)) < 1e-12, n
+
+
+def test_base2_dft_equals_plain_butterfly_loops_bit_for_bit():
+    # the radix-2**2 sweeps do the plain loops' float operations in their order:
+    # same bits in every part, signed zeros included, and the same count
+    rng = random.Random(29)
+    zeros = [complex(-0.0, 0.0), complex(0.0, -0.0), complex(-0.0, -0.0), 0j]
+    for k in range(13):
+        n = 2**k
+        z = _rand_vec(rng, n)
+        for i in range(0, n, 3):
+            z[i] = zeros[i % 4] if i % 2 else complex(z[i].real, -0.0)
+        ops = OpCounter()
+        got = dft(z, plan_for(n, 2), ops)
+        want, mults = plain_radix2_dft(z)
+        assert _bits(got) == _bits(want), n
+        assert ops.mults == mults, n
 
 
 @pytest.mark.parametrize("base, top", EVERY_LENGTH)
@@ -282,11 +299,11 @@ def test_dft_multiplication_count_bound():
 
 def test_circulant_identity():
     v = [1 + 2j, 3j, -1 + 0j, 4 + 0j]
-    assert max_abs_err(circulant_matvec([1, 0, 0, 0], v), v) < 1e-14
+    assert max_abs_err(circulant_matvec([1, 0, 0, 0], v, 2), v) < 1e-14
 
 
 def test_circulant_cyclic_shift():
-    got = circulant_matvec([0, 1, 0, 0], [1, 2, 3, 4])
+    got = circulant_matvec([0, 1, 0, 0], [1, 2, 3, 4], 2)
     assert max_abs_err(got, [2, 3, 4, 1]) < 1e-13
 
 
@@ -300,12 +317,12 @@ def test_circulant_matches_dense():
 
 def test_neg_circulant_identity():
     v = [2 + 1j, -3 + 0j]
-    assert max_abs_err(neg_circulant_matvec([1, 0], v), v) < 1e-14
+    assert max_abs_err(neg_circulant_matvec([1, 0], v, 2), v) < 1e-14
 
 
 def test_neg_circulant_two_by_two():
     x, y = 3 + 1j, -2 + 5j
-    got = neg_circulant_matvec([0, 1], [x, y])
+    got = neg_circulant_matvec([0, 1], [x, y], 2)
     assert max_abs_err(got, [y, -x]) < 1e-14
 
 
@@ -389,7 +406,7 @@ def test_split_two_by_two_example():
         p + q
         for p, q in zip(circulant_matvec(rows, v, 2), neg_circulant_matvec(rows_neg, v, 2))
     ]
-    got = toeplitz_matvec_split(spec, v)
+    got = toeplitz_matvec_split(spec, v, 2)
     assert max_abs_err(got, [1, 2]) < 1e-13
     assert max_abs_err(got, recombined) < 1e-13
 
@@ -397,7 +414,7 @@ def test_split_two_by_two_example():
 def test_split_identity():
     spec = ToeplitzSpec(4, (0, 0, 0, 1, 0, 0, 0))
     v = [1 + 1j, 2 + 0j, -3 + 0j, 0.5 + 0j]
-    assert max_abs_err(toeplitz_matvec_split(spec, v), v) < 1e-13
+    assert max_abs_err(toeplitz_matvec_split(spec, v, 2), v) < 1e-13
 
 
 def test_split_matches_dense_and_embed():
@@ -448,8 +465,28 @@ def test_embed_rejects_non_power():
         toeplitz_matvec_embed(spec, [0.0] * 6, 2)
 
 
-def test_infer_base():
-    assert infer_base(8) == 2
-    assert infer_base(27) == 3
-    assert infer_base(36) == 6
-    assert infer_base(7) == 7
+def test_products_take_the_base_they_run_at():
+    # no base is inferred: a missing base is a TypeError, and a length that is
+    # not a power of the given base (a prime here) is refused before any transform
+    v = [1.0] * 4
+    spec = ToeplitzSpec(4, tuple([1.0] * 7))
+    for call in (
+        lambda: circulant_matvec(v, v),
+        lambda: neg_circulant_matvec(v, v),
+        lambda: toeplitz_matvec_split(spec, v),
+        lambda: ltt_matvec_fft(v, v),
+    ):
+        with pytest.raises(TypeError):
+            call()
+    n = 1009
+    v = [1.0] * n
+    spec = ToeplitzSpec(n, tuple([1.0] * (2 * n - 1)))
+    for call in (
+        lambda: circulant_matvec(v, v, 2),
+        lambda: neg_circulant_matvec(v, v, 2),
+        lambda: toeplitz_matvec_split(spec, v, 2),
+        lambda: toeplitz_matvec_embed(spec, v, 2),
+        lambda: ltt_matvec_fft(v, v, 2),
+    ):
+        with pytest.raises(ValueError, match="length 1009 is not a power of base 2"):
+            call()

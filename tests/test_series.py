@@ -427,6 +427,14 @@ def test_complex_solves_name_non_finite_entries(operand, bad):
     assert messages[0] == messages[1]
 
 
+@pytest.mark.parametrize("head", [1e-300, 1e-160, 5e-324])
+def test_complex_forward_solve_refuses_out_of_range_solutions(head):
+    # x = [1/h, -1/h**2, ...] leaves the double range: the loop would return
+    # [1e300, -inf, nan, nan] at h = 1e-300
+    with pytest.raises(OverflowError, match="^the solution leaves the double range$"):
+        ltt_solve_forward([head, 1, 0, 0], [1, 0, 0, 0])
+
+
 def test_vector_file_round_trip(tmp_path):
     path = tmp_path / "vec.txt"
     values = [Fraction(-3, 2), Fraction(0), Fraction(7)]

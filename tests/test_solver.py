@@ -584,6 +584,13 @@ def test_solve_fast_rejects_non_finite_entries():
         invert_first_column([1 + 0j, -1e200, 0j, 0j], 2)
 
 
+def test_solve_fast_refuses_an_overflowing_final_product():
+    # x = f is in range, but the split product's transforms of f overflow and
+    # would return four NaNs; a false overflow until the solve scales its operands
+    with pytest.raises(OverflowError, match="^the final product leaves the double range$"):
+        ltt_solve_fast([1, 0, 0, 0], [1e308] * 4, 2)
+
+
 def test_overflowing_levels_name_the_level_length():
     # finite entries whose levels leave the double range: at base 2 the second
     # level's column holds an infinite entry, at base 3 rescaling the first
