@@ -4,7 +4,7 @@ Conventions fixed here and relied on everywhere else:
 
 * Transforms are unnormalized: ``dft`` computes ``W z`` with
   ``W[i][k] = w**(i*k)`` and ``w = exp(2*pi*i/n)``; ``idft`` computes
-  ``W^{-1} z = conj(W conj(z)) / n``.
+  ``W^{-1} z = conj(W conj(z)) / n``, the transform at ``w**-1`` over n.
 * A circulant is identified by its first ROW ``a``; it diagonalizes as
   ``C(a) = W d(W a) W^{-1}``, so one product costs three transforms plus
   one pointwise multiply. The (-1)-circulant version conjugates by the
@@ -13,17 +13,27 @@ Conventions fixed here and relied on everywhere else:
   must be a power of that base; any other length raises ValueError rather
   than being planned mixed-radix or as one radix-n stage.
 
+The plan's root table holds ``w**j`` up to the angle pi and, past it,
+the exact conjugate of the entry mirrored at pi, which errs about half as
+much as ``exp`` of the larger angle. So entry n - k is the conjugate of
+entry k (0 < k < n/2), and ``idft`` runs ``dft`` once on the table read
+backwards, which multiplies by ``w**-j``, then scales by 1/n: no
+conjugation passes. At base 2 the outputs are those of conjugating
+around the forward transform to the bit, except the sign of an imaginary
+part that cancels to an exact zero.
+
 The digit-reversed load is one C-level gather kept on the plan. Two
 kernels then run a transform's stages. ``_radix2`` runs the base-2 stages
-two at a time as radix-2**2 butterflies (He & Torkelson, 1996). It performs
-the floating-point operations of the plain per-element Cooley-Tukey
-butterfly loops in the same order, so base-2 outputs and multiplication
-counts equal theirs to the bit. ``_radix_b`` runs every base b >= 3 on
-whole list slices with the conjugate-pair butterfly of Singleton (1969):
-pairing input r with b-r, a position costs 2*h*h multiplications,
-h = (b-1)//2, where forming each output as its own sum cost up to
-(b-1)**2. Its outputs differ from those of the per-output sums at ulp
-level, and lie closer to the exact transform.
+three at a time as radix-2**3 butterflies (He & Torkelson, 1996), two left
+over as one radix-2**2 sweep and one as a plain stage. It performs the
+floating-point operations of the plain per-element Cooley-Tukey butterfly
+loops, so base-2 outputs and multiplication counts equal theirs to the
+bit. ``_radix_b`` runs every base b >= 3 on whole list slices with the
+conjugate-pair butterfly of Singleton (1969): pairing input r with b-r, a
+position costs 2*h*h multiplications, h = (b-1)//2, where forming each
+output as its own sum cost up to (b-1)**2. Its outputs differ from those
+of the per-output sums at ulp level, and lie closer to the exact
+transform.
 
 Transforms are pruned where zeros are known or outputs unread (Markel,
 1971; Sorensen & Burrus, 1993). ``dft`` and ``idft`` take a vector shorter
@@ -89,7 +99,9 @@ def _check_power(n: int, base: int) -> int:
 class DftPlan:
     """Immutable tables for radix-b transforms of one length n = base**k.
 
-    ``root_table[j]`` holds ``exp(2*pi*i*j/n)``; ``permutation`` is the input
+    ``root_table[j]`` holds ``exp(2*pi*i*j/n)`` for j <= n/2 and, past pi,
+    the conjugate of entry n - j, so every entry is computed at an angle of
+    at most pi; ``permutation`` is the input
     reordering obtained by recursively grouping indexes by residue class mod
     base (base-b digit reversal), after which the transform proceeds
     breadth-first through block sizes base, base**2, ..., n. ``gather``
@@ -102,10 +114,26 @@ class DftPlan:
         _check_power(n, base)
         self.n = n
         self.base = base
-        self.root_table = tuple(cmath.exp(2j * cmath.pi * j / n) for j in range(n))
+        # past pi, exp of the angle would err up to twice as much as the mirrored entry
+        half = [cmath.exp(2j * cmath.pi * j / n) for j in range(n // 2 + 1)]
+        self.root_table = (*half, *map(complex.conjugate, reversed(half[1 : (n + 1) // 2])))
         self.permutation = tuple(_digit_reversal(n, base))
         # one C-level gather; itemgetter of a single index would return a scalar
         self.gather = itemgetter(*self.permutation) if n > 1 else itemgetter(slice(0, 1))
+
+    def _backward(self):
+        """This plan with root_table read backwards, entry k as entry n - k: dft on it is n * idft.
+
+        Entry n - k is the conjugate of entry k, except entry n/2 of an even
+        n, which base 2 never reads. A tuple of n references built per call
+        from the instance, so no second table is kept per plan, and the class
+        is not looked up on the module, where a tracer may have replaced it.
+        """
+        twin = object.__new__(type(self))
+        for name in self.__slots__:
+            setattr(twin, name, getattr(self, name))
+        twin.root_table = self.root_table[:1] + self.root_table[:0:-1]
+        return twin
 
 
 def _digit_reversal(n, base):
@@ -137,9 +165,10 @@ def dft(z, plan: DftPlan, ops: OpCounter | None = None, keep: int | None = None)
     Values are coerced to complex and loaded in digit-reversed order by the
     plan's gather. Each block of size L is then built from base blocks of
     size m = L/base: entry q*m+k of the block is
-    ``sum_r w_base**(q*r) * (w_L**(k*r) * sub_r[k])``. ``_radix2`` runs the
-    stages for base 2, and outputs and counts equal those of the plain
-    per-element butterfly loops to the bit. ``_radix_b`` runs every base
+    ``sum_r w_base**(q*r) * (w_L**(k*r) * sub_r[k])``, each power of w read
+    from ``plan.root_table``. ``_radix2`` runs the stages for base 2, three
+    per sweep, and outputs and counts equal those of the plain per-element
+    butterfly loops to the bit. ``_radix_b`` runs every base
     >= 3 by conjugate pairs, whose outputs differ from those loops at ulp
     level: a block takes (base-1)(m-1) twiddle multiplications plus 2*h*h*m
     for its butterflies, h = (base-1)//2.
@@ -192,15 +221,126 @@ def _twiddled(v, w):
 def _radix2(x, roots, L):
     """Radix-2 stages L, 2L, ..., n in place on digit-reversed x; returns the multiplication count.
 
-    One sweep runs the stages L and 2L together as a radix-2**2 butterfly on
-    the four entries off+k, off+m+k, off+L+k, off+L+m+k (m = L/2): the
-    stage-L results stay in locals and only the stage-2L results are stored.
-    An odd stage count ends with one plain stage. Every stage computes all
-    its outputs. Twiddle index 0 is not multiplied.
+    One sweep runs the stages L, 2L and 4L together as a radix-2**3
+    butterfly on the eight entries off + k + j*m, j = 0..7 (m = L/2): the
+    stage-L and stage-2L results stay in locals and only the stage-4L
+    results are stored. Two stages left over run as one radix-2**2 sweep on
+    the four entries off + k + j*m, j = 0..3, the same way, and one left
+    over as a plain stage. Every stage computes all its outputs. Twiddle
+    index 0 is not multiplied.
     """
     n = len(x)
     mults = 0
-    while 2 * L <= n:
+    o, q, h = n // 8, n // 4, n // 2
+    # at k = 0 the twiddles not of index 0 are those of stage 2L at m and of
+    # stage 4L at m, L and L + m: roots n/4, n/8, n/4 and 3n/8 in every sweep
+    c1, c2, c3 = roots[o], roots[q], roots[3 * o]
+    while 4 * L <= n:
+        m = L >> 1
+        s = n // (4 * L)  # twiddle j is roots[j*s] at stage 4L, roots[2*j*s] at 2L, roots[4*j*s] at L
+        mults += (m - 1) * 4 * s + (L - 1) * 2 * s + (2 * L - 1) * s
+        # the twiddles of k = 1..m-1: stage L at k, stage 2L at k and m + k,
+        # stage 4L at k, m + k, L + k and L + m + k
+        rows = zip(
+            range(1, m),
+            roots[4 * s : h : 4 * s],
+            roots[2 * s : q : 2 * s],
+            roots[q + 2 * s : h : 2 * s],
+            roots[s:o:s],
+            roots[o + s : q : s],
+            roots[q + s : 3 * o : s],
+            roots[3 * o + s : h : s],
+        )
+        if 4 * L < n:
+            rows = list(rows)  # read once per block; the last sweep has one block
+        for p0 in range(0, n, 4 * L):
+            p1 = p0 + m
+            p2 = p1 + m
+            p3 = p2 + m
+            p4 = p3 + m
+            p5 = p4 + m
+            p6 = p5 + m
+            p7 = p6 + m
+            u = x[p0]
+            t = x[p1]
+            a0 = u + t
+            a1 = u - t
+            u = x[p2]
+            t = x[p3]
+            a2 = u + t
+            a3 = u - t
+            u = x[p4]
+            t = x[p5]
+            a4 = u + t
+            a5 = u - t
+            u = x[p6]
+            t = x[p7]
+            a6 = u + t
+            a7 = u - t
+            b0 = a0 + a2
+            b2 = a0 - a2
+            t = a3 * c2
+            b1 = a1 + t
+            b3 = a1 - t
+            b4 = a4 + a6
+            b6 = a4 - a6
+            t = a7 * c2
+            b5 = a5 + t
+            b7 = a5 - t
+            x[p0] = b0 + b4
+            x[p4] = b0 - b4
+            t = b5 * c1
+            x[p1] = b1 + t
+            x[p5] = b1 - t
+            t = b6 * c2
+            x[p2] = b2 + t
+            x[p6] = b2 - t
+            t = b7 * c3
+            x[p3] = b3 + t
+            x[p7] = b3 - t
+            for k, w, w20, w21, w30, w31, w32, w33 in rows:
+                u = x[p0 + k]
+                t = x[p1 + k] * w
+                a0 = u + t
+                a1 = u - t
+                u = x[p2 + k]
+                t = x[p3 + k] * w
+                a2 = u + t
+                a3 = u - t
+                u = x[p4 + k]
+                t = x[p5 + k] * w
+                a4 = u + t
+                a5 = u - t
+                u = x[p6 + k]
+                t = x[p7 + k] * w
+                a6 = u + t
+                a7 = u - t
+                t = a2 * w20
+                b0 = a0 + t
+                b2 = a0 - t
+                t = a3 * w21
+                b1 = a1 + t
+                b3 = a1 - t
+                t = a6 * w20
+                b4 = a4 + t
+                b6 = a4 - t
+                t = a7 * w21
+                b5 = a5 + t
+                b7 = a5 - t
+                t = b4 * w30
+                x[p0 + k] = b0 + t
+                x[p4 + k] = b0 - t
+                t = b5 * w31
+                x[p1 + k] = b1 + t
+                x[p5 + k] = b1 - t
+                t = b6 * w32
+                x[p2 + k] = b2 + t
+                x[p6 + k] = b2 - t
+                t = b7 * w33
+                x[p3 + k] = b3 + t
+                x[p7 + k] = b3 - t
+        L <<= 3
+    if 2 * L <= n:
         m = L >> 1
         w1 = roots[: n // 2 : n // L]  # stage L twiddles, k = 0..m-1
         w2 = roots[: n // 2 : n // (2 * L)]  # stage 2L twiddles, k = 0..L-1
@@ -268,9 +408,7 @@ def _radix_b(x, roots, b, L, pruned):
     """
     n = len(x)
     h = (b - 1) // 2
-    # w_b**j for j = q*r mod b, q, r = 1..h, read at the angle 2*pi*j/b or, past
-    # pi, as the conjugate of w_b**(b-j): table entries past pi err more
-    wb = [roots[(n // b) * j] if 2 * j <= b else roots[(n // b) * (b - j)].conjugate() for j in range(b)]
+    wb = [roots[(n // b) * j] for j in range(b)]  # w_b**j, read at j = q*r mod b, q, r = 1..h
     # cos(2*pi*q*r/b) and i*sin(2*pi*q*r/b) as complex constants: a float would
     # be promoted to complex(c, 0.0) in every product, the same arithmetic, slower
     cos = [[complex(wb[q * r % b].real, 0.0) for r in range(1, h + 1)] for q in range(1, h + 1)]
@@ -353,13 +491,17 @@ def idft(z, plan: DftPlan, ops: OpCounter | None = None, keep: int | None = None
     """Inverse transform conj(dft(conj(z))) / n, so idft(dft(z)) == z.
 
     Takes z and ``keep`` as dft does (a short z has implicit zeros, and
-    only the leading ``keep`` outputs are computed and scaled), and runs
-    its transform through dft.
+    only the leading ``keep`` outputs are computed and scaled). Runs dft
+    once on the plan with its root table read backwards, whose entries
+    are the conjugates of the forward ones, then one scaling pass. At base
+    2 the outputs equal the conjugated forward transform's to the bit,
+    except the sign of an imaginary part that cancels to an exact zero;
+    at base >= 3 they may differ at ulp level.
     """
-    w = dft(list(map(complex.conjugate, map(complex, z))), plan, ops, keep)
+    w = dft(z, plan._backward(), ops, keep)
     if ops is not None:
         ops.add(len(w))
-    return list(map(mul, map(complex.conjugate, w), repeat(1.0 / plan.n)))
+    return list(map(mul, w, repeat(1.0 / plan.n)))
 
 
 def circulant_matvec(first_row, v, base: int, ops: OpCounter | None = None):
@@ -514,6 +656,7 @@ def ltt_matvec_fft(a, v, base: int, ops: OpCounter | None = None):
     if len(v) != n:
         raise ValueError(f"length mismatch: column {n}, vector {len(v)}")
     if n == 1:
+        _check_power(n, base)
         if ops is not None:
             ops.add(1)
         return [complex(a[0]) * complex(v[0])]

@@ -74,15 +74,20 @@ def fsum_dft(z):
     return out
 
 
-def plain_radix2_dft(z):
+def plain_radix2_dft(z, inverse=False):
     """Textbook radix-2 transform; returns (outputs, multiplication count). len(z) = 2**k.
 
     A bit-reversed load, then for L = 2, 4, ..., n one per-element
     butterfly loop per stage: entries off+k and off+L/2+k meet with the
     twiddle ``cmath.exp(2j*pi*j/n)``, j = k*n/L, and twiddle index 0 is not
-    multiplied.
+    multiplied. ``inverse`` returns the conjugate of the forward transform
+    of the conjugate of z, each output times 1/n, counting those n
+    multiplications too.
     """
     n = len(z)
+    if inverse:
+        y, mults = plain_radix2_dft([complex(v).conjugate() for v in z])
+        return [v.conjugate() * (1.0 / n) for v in y], mults + n
     bits = n.bit_length() - 1
     x = [complex(z[int(format(i, f"0{bits}b")[::-1], 2) if bits else 0]) for i in range(n)]
     roots = [cmath.exp(2j * cmath.pi * j / n) for j in range(n // 2)]

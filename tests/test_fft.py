@@ -84,21 +84,69 @@ def test_dft_every_length_matches_naive_oracle(base, top):
         assert max_rel_err(dft(z, plan_for(n, base)), naive_dft(z)) < 1e-12, n
 
 
+ZEROS = [complex(-0.0, 0.0), complex(0.0, -0.0), complex(-0.0, -0.0), 0j]
+
+
+def _planted(rng, n):
+    # a random vector with signed zeros in every third entry
+    z = _rand_vec(rng, n)
+    for i in range(0, n, 3):
+        z[i] = ZEROS[i % 4] if i % 2 else complex(z[i].real, -0.0)
+    return z
+
+
 def test_base2_dft_equals_plain_butterfly_loops_bit_for_bit():
-    # the radix-2**2 sweeps do the plain loops' float operations in their order:
-    # same bits in every part, signed zeros included, and the same count
+    # the radix-2**3 sweeps and the radix-2**2 sweep or plain stage left over
+    # do the plain loops' float operations: same bits in every part, signed
+    # zeros included, and the same count. A short input copies the first
+    # stage, so its sweeps start at L = 4 where a full one's start at L = 2:
+    # up to 2**13 every stage count mod 3 runs from both starts. The copy
+    # keeps the sign of a zero that the loops' first stage adds to +0.0, so
+    # short inputs plant none.
     rng = random.Random(29)
-    zeros = [complex(-0.0, 0.0), complex(0.0, -0.0), complex(-0.0, -0.0), 0j]
+    for k in range(14):
+        n = 2**k
+        for z in [_planted(rng, n)] + [_rand_vec(rng, length) for length in (n // 2, n // 2 - 1) if length > 0]:
+            ops = OpCounter()
+            got = dft(z, plan_for(n, 2), ops)
+            want, mults = plain_radix2_dft(z + [0j] * (n - len(z)))
+            assert _bits(got) == _bits(want), (n, len(z))
+            assert ops.mults == mults, (n, len(z))
+
+
+def test_base2_idft_equals_conjugated_plain_loops_bit_for_bit():
+    # read backwards, the folded table holds the exact conjugates of the forward
+    # twiddles, so idft does the conjugated loops' operations on conjugated values
+    rng = random.Random(41)
     for k in range(13):
         n = 2**k
-        z = _rand_vec(rng, n)
-        for i in range(0, n, 3):
-            z[i] = zeros[i % 4] if i % 2 else complex(z[i].real, -0.0)
-        ops = OpCounter()
-        got = dft(z, plan_for(n, 2), ops)
-        want, mults = plain_radix2_dft(z)
-        assert _bits(got) == _bits(want), n
-        assert ops.mults == mults, n
+        plan = plan_for(n, 2)
+        for z in [_planted(rng, n)] + [_rand_vec(rng, length) for length in (n // 2, n // 2 - 1) if length > 0]:
+            want, mults = plain_radix2_dft(z + [0j] * (n - len(z)), inverse=True)
+            for keep in sorted({n, max(n // 2, 1), 1}):
+                ops = OpCounter()
+                assert _bits(idft(z, plan, ops, keep)) == _bits(want[:keep]), (n, len(z), keep)
+                assert ops.mults == mults - (n - keep), (n, len(z), keep)
+        # where an imaginary part cancels to an exact zero the conjugation flips
+        # its sign, -(a + b) = -0.0 against (-a) + (-b) = +0.0; a real input or a
+        # single entry does that, and only those zeros' signs differ
+        for z in ([rng.uniform(-1, 1) for _ in range(n)], [complex(0.5, -0.0)]):
+            want, _ = plain_radix2_dft(z + [0j] * (n - len(z)), inverse=True)
+            assert idft(z, plan) == want, (n, len(z))
+
+
+@pytest.mark.parametrize("base", [2, 3, 4, 5, 6, 7])
+def test_root_table_is_folded_at_pi(base):
+    # entries up to pi are cmath.exp of their angle, those past pi the exact
+    # conjugates of the entries below pi, which err less
+    for k in range(5 if base < 6 else 4):
+        n = base**k
+        table = DftPlan(n, base).root_table
+        assert len(table) == n
+        assert _bits(table[: n // 2 + 1]) == _bits([cmath.exp(2j * cmath.pi * j / n) for j in range(n // 2 + 1)]), n
+        assert _bits(table[n - j] for j in range(1, (n + 1) // 2)) == _bits(
+            table[j].conjugate() for j in range(1, (n + 1) // 2)
+        ), n
 
 
 @pytest.mark.parametrize("base, top", EVERY_LENGTH)
@@ -140,7 +188,7 @@ def test_keep_returns_the_leading_outputs_bit_for_bit(base, top):
 
 @pytest.mark.parametrize("n", [2**12, 2**14])
 def test_kept_base2_transform_peaks_no_higher_than_the_full_one(n):
-    # even stage counts, so the last stage ends a radix-2**2 sweep, which runs in place
+    # 2**12 ends on a radix-2**3 sweep and 2**14 on a radix-2**2 sweep, both in place
     plan = plan_for(n, 2)
     z = _rand_vec(random.Random(n), n)
     peaks = []
@@ -206,6 +254,37 @@ def test_idft_calls_module_dft_once_per_transform(monkeypatch):
     assert calls == [8, 27, 25, 1]
 
 
+def test_cached_plans_do_not_need_the_plan_class(monkeypatch):
+    # perfbench's --trace replaces fft.DftPlan with a counting function; on
+    # cached plans no transform, product or solve may call it or need the class
+    import lttkit.fft as fft
+    from lttkit.solver import ltt_solve_fast
+
+    rng = random.Random(43)
+    a = [1 + 0j] + [c * 2.0**-k for k, c in enumerate(_rand_vec(rng, 63), 1)]
+    f = _rand_vec(rng, 64)
+
+    def run():
+        return [
+            fft.idft(f, plan_for(64, 2)),
+            fft.idft(f[:27], plan_for(27, 3), keep=9),
+            fft.circulant_matvec(f[:32], f[32:], 2),
+            ltt_solve_fast(a, f, 2),
+        ]
+
+    first = run()
+    calls = []
+    real = fft.DftPlan
+
+    def counting(*args, **kw):
+        calls.append(args)
+        return real(*args, **kw)
+
+    monkeypatch.setattr(fft, "DftPlan", counting)
+    assert run() == first
+    assert calls == []
+
+
 def _pair_saving(n, base):
     """Multiplications the conjugate-pair butterfly saves on one full length-n transform.
 
@@ -262,11 +341,13 @@ def test_generic_radix_matches_naive_oracle():
 def test_radix_b_accuracy_against_compensated_sum():
     # fsum_dft errs about 1.4e-16 at these lengths (against a 120-bit sum);
     # naive_dft errs 1.6e-15 and could not see these figures. Measured at this
-    # seed: base 3 9.5e-16 and base 5 3.7e-16; the per-output butterfly, which
-    # multiplied by w_3**2 = exp(4*pi*i/3) off by 6e-16 in the root table,
-    # gave 1.56e-15 and 6.2e-16.
+    # seed: base 3 5.2e-16 (n = 729) and 6.9e-16 (n = 2187), base 5 3.4e-16,
+    # base 6 4.8e-16; the bounds are about 1.3 times those. A root table
+    # computed past pi instead of folded there gave 9.5e-16, 1.1e-15, 3.7e-16
+    # and 5.9e-16, and the per-output butterfly 1.56e-15 (base 3, n = 729)
+    # and 6.2e-16 (base 5).
     rng = random.Random(59)
-    for base, n, bound in ((3, 729, 1.3e-15), (5, 625, 5.5e-16)):
+    for base, n, bound in ((3, 729, 6.8e-16), (5, 625, 4.5e-16), (3, 2187, 9.0e-16), (6, 1296, 6.2e-16)):
         z = _rand_vec(rng, n)
         assert max_rel_err(dft(z, plan_for(n, base)), fsum_dft(z)) < bound, base
 
@@ -490,3 +571,15 @@ def test_products_take_the_base_they_run_at():
     ):
         with pytest.raises(ValueError, match="length 1009 is not a power of base 2"):
             call()
+    # length 1 has no transform to refuse the base, so each product checks it
+    spec = ToeplitzSpec(1, (2,))
+    for base in (0, 1):
+        for call in (
+            lambda: circulant_matvec([2], [3], base),
+            lambda: neg_circulant_matvec([2], [3], base),
+            lambda: toeplitz_matvec_split(spec, [3], base),
+            lambda: toeplitz_matvec_embed(spec, [3], base),
+            lambda: ltt_matvec_fft([2], [3], base),
+        ):
+            with pytest.raises(ValueError, match="base must be >= 2"):
+                call()
