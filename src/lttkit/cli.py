@@ -184,7 +184,7 @@ def _suite_fft() -> int:
     n = 0
     rng = random.Random(202)
     # bases 4 and 6 reach the middle output y_{b/2} of the even-base pair butterfly
-    for size, base in ((8, 2), (16, 2), (9, 3), (27, 3), (25, 5), (125, 5), (64, 4), (36, 6)):
+    for size, base in ((8, 2), (16, 2), (32, 2), (9, 3), (27, 3), (25, 5), (125, 5), (64, 4), (36, 6)):
         z = [complex(rng.uniform(-1, 1), rng.uniform(-1, 1)) for _ in range(size)]
         plan = fft.plan_for(size, base)
         got = fft.dft(z, plan)
@@ -195,7 +195,7 @@ def _suite_fft() -> int:
         n += _require(max(abs(p - q) for p, q in zip(got, ref)) < 1e-11, f"dft {size}")
         back = fft.idft(got, plan)
         n += _require(max(abs(p - q) for p, q in zip(back, z)) < 1e-12, f"idft {size}")
-        if size in (16, 27):  # pruned transforms: implicit zeros, and only the leading outputs
+        if size in (16, 27, 32):  # pruned transforms: implicit zeros, and only the leading outputs
             short = z[: size // base]
             n += _require(fft.dft(short, plan) == fft.dft(short + [0j] * (size - len(short)), plan), f"short dft {size}")
             n += _require(fft.idft(got, plan, keep=size // base) == back[: size // base], f"kept idft {size}")

@@ -23,17 +23,17 @@ around the forward transform to the bit, except the sign of an imaginary
 part that cancels to an exact zero.
 
 The digit-reversed load is one C-level gather kept on the plan. Two
-kernels then run a transform's stages. ``_radix2`` runs the base-2 stages
-three at a time as radix-2**3 butterflies (He & Torkelson, 1996), two left
-over as one radix-2**2 sweep and one as a plain stage. It performs the
-floating-point operations of the plain per-element Cooley-Tukey butterfly
-loops, so base-2 outputs and multiplication counts equal theirs to the
-bit. ``_radix_b`` runs every base b >= 3 on whole list slices with the
-conjugate-pair butterfly of Singleton (1969): pairing input r with b-r, a
-position costs 2*h*h multiplications, h = (b-1)//2, where forming each
-output as its own sum cost up to (b-1)**2. Its outputs differ from those
-of the per-output sums at ulp level, and lie closer to the exact
-transform.
+kernels then run a transform's stages. ``_radix2`` runs first the 0-2
+base-2 stages that do not fill a radix-2**3 butterfly, each on strided
+slices, then the rest three at a time as radix-2**3 butterflies (He &
+Torkelson, 1996). It performs the floating-point operations of the plain
+per-element Cooley-Tukey butterfly loops, so base-2 outputs and
+multiplication counts equal theirs to the bit. ``_radix_b`` runs every
+base b >= 3 on whole list slices with the conjugate-pair butterfly of
+Singleton (1969): pairing input r with b-r, a position costs 2*h*h
+multiplications, h = (b-1)//2, where forming each output as its own sum
+cost up to (b-1)**2. Its outputs differ from those of the per-output sums
+at ulp level, and lie closer to the exact transform.
 
 Transforms are pruned where zeros are known or outputs unread (Markel,
 1971; Sorensen & Burrus, 1993). ``dft`` and ``idft`` take a vector shorter
@@ -166,12 +166,12 @@ def dft(z, plan: DftPlan, ops: OpCounter | None = None, keep: int | None = None)
     plan's gather. Each block of size L is then built from base blocks of
     size m = L/base: entry q*m+k of the block is
     ``sum_r w_base**(q*r) * (w_L**(k*r) * sub_r[k])``, each power of w read
-    from ``plan.root_table``. ``_radix2`` runs the stages for base 2, three
-    per sweep, and outputs and counts equal those of the plain per-element
-    butterfly loops to the bit. ``_radix_b`` runs every base
-    >= 3 by conjugate pairs, whose outputs differ from those loops at ulp
-    level: a block takes (base-1)(m-1) twiddle multiplications plus 2*h*h*m
-    for its butterflies, h = (base-1)//2.
+    from ``plan.root_table``. ``_radix2`` runs the base-2 stages, 0-2 on
+    strided slices, then three per sweep, and outputs and counts equal those
+    of the plain per-element butterfly loops to the bit. ``_radix_b`` runs
+    every base >= 3 by conjugate pairs, whose outputs differ from those
+    loops at ulp level: a block takes (base-1)(m-1) twiddle multiplications
+    plus 2*h*h*m for its butterflies, h = (base-1)//2.
 
     Known zeros and unread outputs are skipped. At every base, len(z) <=
     n/base puts one nonzero entry in each first-stage block, so the load
@@ -221,16 +221,29 @@ def _twiddled(v, w):
 def _radix2(x, roots, L):
     """Radix-2 stages L, 2L, ..., n in place on digit-reversed x; returns the multiplication count.
 
-    One sweep runs the stages L, 2L and 4L together as a radix-2**3
-    butterfly on the eight entries off + k + j*m, j = 0..7 (m = L/2): the
+    The 0-2 stages that do not fill a radix-2**3 sweep run first, each as
+    m = L/2 <= 4 butterflies on strided slices: entries k and m + k of every
+    block are x[k::L] and x[m+k::L], the second times roots[k*n/L] for
+    k >= 1. Every later sweep runs the stages L, 2L and 4L together as
+    a radix-2**3 butterfly on the eight entries off + k + j*m, j = 0..7: the
     stage-L and stage-2L results stay in locals and only the stage-4L
-    results are stored. Two stages left over run as one radix-2**2 sweep on
-    the four entries off + k + j*m, j = 0..3, the same way, and one left
-    over as a plain stage. Every stage computes all its outputs. Twiddle
-    index 0 is not multiplied.
+    results are stored. The last sweep ends at n. Every stage computes all
+    its outputs. Twiddle index 0 is not multiplied.
     """
     n = len(x)
     mults = 0
+    for _ in range((n // L).bit_length() % 3):
+        m = L >> 1
+        s = n // L
+        mults += (m - 1) * s
+        for k in range(m):
+            u = x[k::L]
+            t = x[m + k :: L]
+            if k:
+                t = list(map(mul, t, repeat(roots[s * k])))
+            x[k::L] = map(add, u, t)
+            x[m + k :: L] = map(sub, u, t)
+        L <<= 1
     o, q, h = n // 8, n // 4, n // 2
     # at k = 0 the twiddles not of index 0 are those of stage 2L at m and of
     # stage 4L at m, L and L + m: roots n/4, n/8, n/4 and 3n/8 in every sweep
@@ -340,59 +353,6 @@ def _radix2(x, roots, L):
                 x[p3 + k] = b3 + t
                 x[p7 + k] = b3 - t
         L <<= 3
-    if 2 * L <= n:
-        m = L >> 1
-        w1 = roots[: n // 2 : n // L]  # stage L twiddles, k = 0..m-1
-        w2 = roots[: n // 2 : n // (2 * L)]  # stage 2L twiddles, k = 0..L-1
-        mults += (m - 1) * (n // L) + (L - 1) * (n // (2 * L))
-        wm = w2[m]
-        for a in range(0, n, 2 * L):
-            b = a + m
-            c = a + L
-            d = c + m
-            u = x[a]
-            t = x[b]
-            a1 = u + t
-            b1 = u - t
-            u = x[c]
-            t = x[d]
-            c1 = u + t
-            d1 = u - t
-            x[a] = a1 + c1
-            x[c] = a1 - c1
-            t = d1 * wm
-            x[b] = b1 + t
-            x[d] = b1 - t
-            for k in range(1, m):
-                w = w1[k]
-                t = x[b + k] * w
-                u = x[a + k]
-                a1 = u + t
-                b1 = u - t
-                t = x[d + k] * w
-                u = x[c + k]
-                c1 = u + t
-                d1 = u - t
-                t = c1 * w2[k]
-                x[a + k] = a1 + t
-                x[c + k] = a1 - t
-                t = d1 * w2[m + k]
-                x[b + k] = b1 + t
-                x[d + k] = b1 - t
-        L <<= 2
-    if L <= n:
-        m = L >> 1
-        mults += m - 1
-        for k in range(1, m):
-            w = roots[k]
-            t = x[m + k] * w
-            u = x[k]
-            x[k] = u + t
-            x[m + k] = u - t
-        u = x[0]
-        t = x[m]
-        x[0] = u + t
-        x[m] = u - t
     return mults
 
 

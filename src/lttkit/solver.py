@@ -57,8 +57,9 @@ vector and one length-N inverse transform of its product with H. So a
 level costs two transforms in each sweep, and each is pruned (see fft):
 the column and the vector are passed unpadded, base times shorter than
 their transforms, so those copy their first stage, and the inverse
-transforms keep only the m/base and m outputs that are read, so their last
-stage computes one output block of base. No complex companion column is
+transforms keep only the m/base and m outputs that are read. At base >= 3
+their last stage computes one output block of base; at base 2 the kept
+outputs are a slice of the full ones. No complex companion column is
 written out during a solve.
 
 One function, _level, runs a level of the first sweep in either field: the

@@ -95,18 +95,27 @@ def _planted(rng, n):
     return z
 
 
+def _zero_imag(rng, n):
+    # imaginary parts -0.0; real parts in (0, 1) at even indexes, in (-2, -1)
+    # at odd ones. Outputs 0 and n/2 take no twiddle, so their imaginary parts
+    # are signed zeros; output 0's real part is negative, so idft's scaling
+    # keeps that zero's sign, which a k = 0 entry multiplied by 1+0j flips
+    return [complex(-1 - rng.random() if j % 2 else rng.random(), -0.0) for j in range(n)]
+
+
 def test_base2_dft_equals_plain_butterfly_loops_bit_for_bit():
-    # the radix-2**3 sweeps and the radix-2**2 sweep or plain stage left over
+    # the 0-2 leading strided-slice stages and the radix-2**3 sweeps after them
     # do the plain loops' float operations: same bits in every part, signed
     # zeros included, and the same count. A short input copies the first
-    # stage, so its sweeps start at L = 4 where a full one's start at L = 2:
-    # up to 2**13 every stage count mod 3 runs from both starts. The copy
+    # stage, so its stages start at L = 4 where a full one's start at L = 2:
+    # up to 2**13 every number of leading stages runs from both starts. The copy
     # keeps the sign of a zero that the loops' first stage adds to +0.0, so
     # short inputs plant none.
     rng = random.Random(29)
     for k in range(14):
         n = 2**k
-        for z in [_planted(rng, n)] + [_rand_vec(rng, length) for length in (n // 2, n // 2 - 1) if length > 0]:
+        zs = [_planted(rng, n)] + [_rand_vec(rng, length) for length in (n // 2, n // 2 - 1) if length > 0]
+        for z in zs + [_zero_imag(rng, n)]:
             ops = OpCounter()
             got = dft(z, plan_for(n, 2), ops)
             want, mults = plain_radix2_dft(z + [0j] * (n - len(z)))
@@ -121,7 +130,8 @@ def test_base2_idft_equals_conjugated_plain_loops_bit_for_bit():
     for k in range(13):
         n = 2**k
         plan = plan_for(n, 2)
-        for z in [_planted(rng, n)] + [_rand_vec(rng, length) for length in (n // 2, n // 2 - 1) if length > 0]:
+        zs = [_planted(rng, n)] + [_rand_vec(rng, length) for length in (n // 2, n // 2 - 1) if length > 0]
+        for z in zs + [_zero_imag(rng, n)]:
             want, mults = plain_radix2_dft(z + [0j] * (n - len(z)), inverse=True)
             for keep in sorted({n, max(n // 2, 1), 1}):
                 ops = OpCounter()
@@ -186,9 +196,10 @@ def test_keep_returns_the_leading_outputs_bit_for_bit(base, top):
                     assert ops.mults + unscaled == full_ops.mults, (n, keep)
 
 
-@pytest.mark.parametrize("n", [2**12, 2**14])
+@pytest.mark.parametrize("n", [2**12, 2**13, 2**14])
 def test_kept_base2_transform_peaks_no_higher_than_the_full_one(n):
-    # 2**12 ends on a radix-2**3 sweep and 2**14 on a radix-2**2 sweep, both in place
+    # 2**12, 2**13 and 2**14 run 0, 1 and 2 strided-slice stages before their
+    # radix-2**3 sweeps, which work in place
     plan = plan_for(n, 2)
     z = _rand_vec(random.Random(n), n)
     peaks = []
