@@ -22,7 +22,9 @@ conjugation passes. At base 2 the outputs are those of conjugating
 around the forward transform to the bit, except the sign of an imaginary
 part that cancels to an exact zero.
 
-The digit-reversed load is one C-level gather kept on the plan. Two
+The digit-reversed load is one C-level gather kept on the plan; every
+plan's permutation holds its indexes from one module-level pool of ints,
+so plans of many lengths share one int object per index. Two
 kernels then run a transform's stages. ``_radix2`` runs first the 0-2
 base-2 stages that do not fill a radix-2**3 butterfly, each on strided
 slices, then the rest three at a time as radix-2**3 butterflies (He &
@@ -96,6 +98,9 @@ def _check_power(n: int, base: int) -> int:
     return k
 
 
+_INDEXES: list[int] = []  # the permutation entries of every plan
+
+
 class DftPlan:
     """Immutable tables for radix-b transforms of one length n = base**k.
 
@@ -104,8 +109,11 @@ class DftPlan:
     at most pi; ``permutation`` is the input
     reordering obtained by recursively grouping indexes by residue class mod
     base (base-b digit reversal), after which the transform proceeds
-    breadth-first through block sizes base, base**2, ..., n. ``gather``
-    applies it to a length-n sequence and returns a tuple.
+    breadth-first through block sizes base, base**2, ..., n. Its entries
+    are taken from ``_INDEXES``, the ints 0..N-1 for the longest plan built
+    so far, so a plan holds 8 bytes per index, not another int object.
+    ``gather`` applies it to a length-n sequence and returns a tuple, or
+    at n = 1 a slice of its input.
     """
 
     __slots__ = ("n", "base", "root_table", "permutation", "gather")
@@ -117,7 +125,11 @@ class DftPlan:
         # past pi, exp of the angle would err up to twice as much as the mirrored entry
         half = [cmath.exp(2j * cmath.pi * j / n) for j in range(n // 2 + 1)]
         self.root_table = (*half, *map(complex.conjugate, reversed(half[1 : (n + 1) // 2])))
-        self.permutation = tuple(_digit_reversal(n, base))
+        global _INDEXES
+        pool = _INDEXES
+        if len(pool) < n:  # a new list swapped in whole: two threads growing it cannot shift an index
+            pool = _INDEXES = [*pool, *range(len(pool), n)]
+        self.permutation = tuple(map(pool.__getitem__, _digit_reversal(n, base)))
         # one C-level gather; itemgetter of a single index would return a scalar
         self.gather = itemgetter(*self.permutation) if n > 1 else itemgetter(slice(0, 1))
 
@@ -473,11 +485,10 @@ def circulant_matvec(first_row, v, base: int, ops: OpCounter | None = None):
     if len(v) != n:
         raise ValueError(f"length mismatch: row {n}, vector {len(v)}")
     plan = plan_for(n, base)
-    fa = dft(first_row, plan, ops)
-    u = idft(v, plan, ops)
+    w = list(map(mul, dft(first_row, plan, ops), idft(v, plan, ops)))
     if ops is not None:
         ops.add(n)
-    return dft(list(map(mul, fa, u)), plan, ops)
+    return dft(w, plan, ops)
 
 
 def neg_circulant_matvec(first_row, v, base: int, ops: OpCounter | None = None):
@@ -564,11 +575,10 @@ def toeplitz_matvec_embed(spec: ToeplitzSpec, v, base: int, ops: OpCounter | Non
         raise ValueError(f"length mismatch: matrix {n}, vector {len(v)}")
     _check_power(n, base)
     plan = plan_for(base * n, base)
-    fa = dft(circulant_embedding_row(spec, base), plan, ops)
-    u = idft(v, plan, ops)
+    w = list(map(mul, dft(circulant_embedding_row(spec, base), plan, ops), idft(v, plan, ops)))
     if ops is not None:
         ops.add(base * n)
-    return dft(list(map(mul, fa, u)), plan, ops, keep=n)
+    return dft(w, plan, ops, keep=n)
 
 
 def toeplitz_matvec_split(spec: ToeplitzSpec, v, base: int, ops: OpCounter | None = None):
@@ -582,13 +592,13 @@ def toeplitz_matvec_split(spec: ToeplitzSpec, v, base: int, ops: OpCounter | Non
     if len(v) != n:
         raise ValueError(f"length mismatch: matrix {n}, vector {len(v)}")
     d = spec.diags  # t_k sits at d[n - 1 + k]
-    lo = list(map(complex, d[n - 1 :: -1]))  # t_{-i}
-    hi = [0j, *map(complex, d[: n - 1 : -1])]  # t_{n-i}, with t_n = 0
-    row = list(map(mul, map(add, lo, hi), repeat(0.5)))
-    row_neg = list(map(mul, map(sub, lo, hi), repeat(0.5)))
-    w1 = circulant_matvec(row, v, base, ops)
-    w2 = neg_circulant_matvec(row_neg, v, base, ops)
-    return list(map(add, w1, w2))
+    return _split_matvec(list(map(complex, d[n - 1 :: -1])), [0j, *map(complex, d[: n - 1 : -1])], v, base, ops)
+
+
+def _split_matvec(lo, hi, v, base, ops):
+    # lo holds t_{-i}, hi t_{n-i}; each row is built as its product starts and dies with it
+    w = circulant_matvec(list(map(mul, map(add, lo, hi), repeat(0.5))), v, base, ops)
+    return list(map(add, w, neg_circulant_matvec(list(map(mul, map(sub, lo, hi), repeat(0.5))), v, base, ops)))
 
 
 def toeplitz_matvec_naive(spec: ToeplitzSpec, v, ops: OpCounter | None = None):
@@ -610,14 +620,17 @@ def ltt_matvec_fft(a, v, base: int, ops: OpCounter | None = None):
     L(a) = (C(r) + C_-(r')) / 2 with first rows r = [a_0, a_{n-1}, ..., a_1]
     and r' = [a_0, -a_{n-1}, ..., -a_1]: six transforms of length n at any
     base, where the circulant embedding takes three of length base*n.
-    Complex-field fast path for the solver; n must be a power of base.
+    Complex-field fast path for the solver; n must be a power of base. The
+    rows are built from a, with one shared 0j for the n-1 zero diagonals,
+    and equal to the bit those of toeplitz_matvec_split on
+    ToeplitzSpec.from_lower_column(a).
     """
     n = len(a)
     if len(v) != n:
         raise ValueError(f"length mismatch: column {n}, vector {len(v)}")
+    _check_power(n, base)
     if n == 1:
-        _check_power(n, base)
         if ops is not None:
             ops.add(1)
         return [complex(a[0]) * complex(v[0])]
-    return toeplitz_matvec_split(ToeplitzSpec.from_lower_column(a), v, base, ops)
+    return _split_matvec([complex(a[0]), *repeat(0j, n - 1)], [0j, *map(complex, a[:0:-1])], v, base, ops)

@@ -60,7 +60,9 @@ their transforms, so those copy their first stage, and the inverse
 transforms keep only the m/base and m outputs that are read. At base >= 3
 their last stage computes one output block of base; at base 2 the kept
 outputs are a slice of the full ones. No complex companion column is
-written out during a solve.
+written out during a solve. The assembly consumes the kept samples: each
+step overwrites H with its products, and the level's record is dropped
+once the step has run.
 
 One function, _level, runs a level of the first sweep in either field: the
 skip, the Graeffe step or the exact level. SolveTrace keeps the normalized
@@ -310,13 +312,14 @@ def _apply_hat_samples(h, s, w, base, ops):
     times; the product has degree below N, so the cyclic inverse transform
     does not alias, and only its first m outputs are computed. hat[0] is 1,
     so coefficient 0 is w[0] exactly; with w = [1] the result is the
-    companion column itself.
+    companion column itself. h is overwritten with the products.
     """
     n = len(h)
     m = n // base
-    ws = fft.dft(_rescaled(w, s**base, ops), fft.plan_for(m, base), ops)
     ops.add(n)
-    out = fft.idft(list(map(mul, h, ws * base)), fft.plan_for(n, base), ops, m)
+    # the samples are read for the last time here: the products overwrite them in place
+    h[:] = map(mul, h, fft.dft(_rescaled(w, s**base, ops), fft.plan_for(m, base), ops) * base)
+    out = fft.idft(h, fft.plan_for(n, base), ops, m)
     out = _rescaled(out, 1 / s, ops)
     out[0] = w[0]
     return out
@@ -409,9 +412,11 @@ def invert_first_column(a, base: int, ops: OpCounter | None = None):
 
     # Apply the companion matrices right to left, starting from the length-1
     # column [1]; a skipped level is a pure spread. Each step keeps its
-    # level's m entries.
+    # level's m entries, and its record is dropped once it has run.
+    levels = len(records)
     w, wden = col, den
-    for m, step in reversed(records):
+    while records:
+        m, step = records.pop()
         if step is None:
             spread = [zero] * m
             spread[::base] = w
@@ -426,7 +431,7 @@ def invert_first_column(a, base: int, ops: OpCounter | None = None):
         x = w[:n] if a0 == 1 else [v / a0 for v in w[:n]]
         if not all(map(cmath.isfinite, x)):
             raise OverflowError("the inverse's first column leaves the double range")
-    return x, SolveTrace(base, len(records), counter.mults - start, first)
+    return x, SolveTrace(base, levels, counter.mults - start, first)
 
 
 def ltt_solve_fast(a, f, base: int, with_trace: bool = False):

@@ -1,4 +1,5 @@
 import signal
+import tracemalloc
 
 import pytest
 
@@ -15,3 +16,20 @@ def time_limit():
     yield signal.alarm
     signal.alarm(0)
     signal.signal(signal.SIGALRM, previous)
+
+
+@pytest.fixture
+def traced_peak():
+    """``traced_peak(call)``: bytes of the tracemalloc peak of one ``call()`` above the traced size at its start."""
+
+    def measure(call):
+        tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            start = tracemalloc.get_traced_memory()[0]
+            call()
+            return tracemalloc.get_traced_memory()[1] - start
+        finally:
+            tracemalloc.stop()
+
+    return measure

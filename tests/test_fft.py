@@ -1,6 +1,5 @@
 import cmath
 import random
-import tracemalloc
 from math import log
 
 import pytest
@@ -43,6 +42,13 @@ def test_plan_tables():
     assert DftPlan(9, 3).permutation == (0, 3, 6, 1, 4, 7, 2, 5, 8)
     for j in range(4):
         assert abs(plan.root_table[j] - cmath.exp(2j * cmath.pi * j / 4)) < 1e-15
+
+
+def test_plans_share_their_index_ints():
+    # each index is one int object in every plan, past the 0..256 that CPython caches
+    short, long = sorted(DftPlan(3**7, 3).permutation), sorted(DftPlan(2**12, 2).permutation)
+    assert short == long[: 3**7]
+    assert all(a is b for a, b in zip(short, long))
 
 
 def test_plan_rejects_mixed_length():
@@ -197,21 +203,12 @@ def test_keep_returns_the_leading_outputs_bit_for_bit(base, top):
 
 
 @pytest.mark.parametrize("n", [2**12, 2**13, 2**14])
-def test_kept_base2_transform_peaks_no_higher_than_the_full_one(n):
+def test_kept_base2_transform_peaks_no_higher_than_the_full_one(n, traced_peak):
     # 2**12, 2**13 and 2**14 run 0, 1 and 2 strided-slice stages before their
     # radix-2**3 sweeps, which work in place
     plan = plan_for(n, 2)
     z = _rand_vec(random.Random(n), n)
-    peaks = []
-    tracemalloc.start()
-    try:
-        for keep in (None, n // 2):
-            tracemalloc.reset_peak()
-            base_size = tracemalloc.get_traced_memory()[0]
-            dft(z, plan, keep=keep)
-            peaks.append(tracemalloc.get_traced_memory()[1] - base_size)
-    finally:
-        tracemalloc.stop()
+    peaks = [traced_peak(lambda: dft(z, plan, keep=keep)) for keep in (None, n // 2)]
     assert peaks[1] <= 1.05 * peaks[0], peaks
 
 
@@ -549,6 +546,40 @@ def test_ltt_matvec_fft_stays_at_length_n():
     ltt_matvec_fft(a, v, 5, fft_ops)
     toeplitz_matvec_embed(ToeplitzSpec.from_lower_column(a), v, 5, embed_ops)
     assert fft_ops.mults < embed_ops.mults
+
+
+def test_ltt_matvec_fft_equals_the_split_of_its_spec_bit_for_bit():
+    # the rows built from the column keep the split's additions with zero
+    # diagonals, so the signs of zeros agree too; at n = 2 a column of signed
+    # zeros against v = [-1+1j, -1+1j] shows the sign of a zero row entry
+    rng = random.Random(67)
+    cases = [(2, [p, q], [-1 + 1j, -1 + 1j]) for p in ZEROS for q in ZEROS]
+    for base, n in ((2, 64), (3, 81), (5, 125)):
+        ints = [rng.randint(-9, 9) for _ in range(n)]
+        cases += [(base, _planted(rng, n), _planted(rng, n)), (base, ints, _planted(rng, n)), (base, ints, ints[::-1])]
+    for base, a, v in cases:
+        ops, split_ops = OpCounter(), OpCounter()
+        got = ltt_matvec_fft(a, v, base, ops)
+        want = toeplitz_matvec_split(ToeplitzSpec.from_lower_column(a), v, base, split_ops)
+        assert _bits(got) == _bits(want), (base, a, v)
+        assert ops.mults == split_ops.mults, (base, len(a))
+
+
+@pytest.mark.parametrize("product, bound", [("split", 370), ("embed", 300), ("ltt", 370)])
+def test_product_peak_memory_per_unknown(product, bound, traced_peak):
+    # traced bytes per unknown of one base-2 product at n = 4096, plans built
+    # first: about 325, 241 and 325 while no operand outlives its last use
+    n = 4096
+    rng = random.Random(71)
+    spec = ToeplitzSpec(n, tuple(_rand_vec(rng, 2 * n - 1)))
+    a, v = _rand_vec(rng, n), _rand_vec(rng, n)
+    call = {
+        "split": lambda: toeplitz_matvec_split(spec, v, 2, OpCounter()),
+        "embed": lambda: toeplitz_matvec_embed(spec, v, 2, OpCounter()),
+        "ltt": lambda: ltt_matvec_fft(a, v, 2, OpCounter()),
+    }[product]
+    call()
+    assert traced_peak(call) / n < bound
 
 
 def test_embed_rejects_non_power():
