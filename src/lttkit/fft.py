@@ -24,18 +24,23 @@ part that cancels to an exact zero.
 
 The digit-reversed load is one C-level gather kept on the plan; every
 plan's permutation holds its indexes from one module-level pool of ints,
-so plans of many lengths share one int object per index. Two
-kernels then run a transform's stages. ``_radix2`` runs first the 0-2
-base-2 stages that do not fill a radix-2**3 butterfly, each on strided
-slices, then the rest three at a time as radix-2**3 butterflies (He &
-Torkelson, 1996). It performs the floating-point operations of the plain
-per-element Cooley-Tukey butterfly loops, so base-2 outputs and
-multiplication counts equal theirs to the bit. ``_radix_b`` runs every
-base b >= 3 on whole list slices with the conjugate-pair butterfly of
-Singleton (1969): pairing input r with b-r, a position costs 2*h*h
-multiplications, h = (b-1)//2, where forming each output as its own sum
-cost up to (b-1)**2. Its outputs differ from those of the per-output sums
-at ulp level, and lie closer to the exact transform.
+so plans of many lengths share one int object per index. Three kernels,
+one per case of the paper (b = 2, b = 3 and generic b), then run a
+transform's stages. ``_radix_b`` runs any base b >= 3 on whole list
+slices with the conjugate-pair butterfly of Singleton (1969): pairing
+input r with b-r, a position costs 2*h*h multiplications, h = (b-1)//2,
+where forming each output as its own sum cost up to (b-1)**2. Its outputs
+differ from those of the per-output sums at ulp level, and lie closer to
+the exact transform. ``_radix2`` runs first the 0-2 base-2 stages that do
+not fill a radix-2**3 butterfly, each on strided slices, then the rest
+three at a time as radix-2**3 butterflies (He & Torkelson, 1996). It
+performs the floating-point operations of the plain per-element
+Cooley-Tukey butterfly loops, so base-2 outputs and multiplication counts
+equal theirs to the bit. ``_radix3`` runs the base-3 stages in place: one
+alone when their number is odd, the rest two at a time as radix-3**2
+butterflies of scalars. It performs the floating-point operations of
+``_radix_b`` at b = 3, so base-3 outputs and counts are those of
+``_radix_b`` to the bit, and ``_radix_b`` stays its reference in the tests.
 
 Transforms are pruned where zeros are known or outputs unread (Markel,
 1971; Sorensen & Burrus, 1993). ``dft`` and ``idft`` take a vector shorter
@@ -180,10 +185,12 @@ def dft(z, plan: DftPlan, ops: OpCounter | None = None, keep: int | None = None)
     ``sum_r w_base**(q*r) * (w_L**(k*r) * sub_r[k])``, each power of w read
     from ``plan.root_table``. ``_radix2`` runs the base-2 stages, 0-2 on
     strided slices, then three per sweep, and outputs and counts equal those
-    of the plain per-element butterfly loops to the bit. ``_radix_b`` runs
-    every base >= 3 by conjugate pairs, whose outputs differ from those
-    loops at ulp level: a block takes (base-1)(m-1) twiddle multiplications
-    plus 2*h*h*m for its butterflies, h = (base-1)//2.
+    of the plain per-element butterfly loops to the bit. Every base >= 3 pairs
+    the inputs r and base-r, whose outputs differ from those loops at ulp
+    level: a block takes (base-1)(m-1) twiddle multiplications plus 2*h*h*m
+    for its butterflies, h = (base-1)//2. ``_radix3`` runs base 3, two
+    stages per sweep of scalar butterflies, and ``_radix_b`` every other
+    base on list slices; the two agree to the bit at base 3.
 
     Known zeros and unread outputs are skipped. At every base, len(z) <=
     n/base puts one nonzero entry in each first-stage block, so the load
@@ -212,6 +219,8 @@ def dft(z, plan: DftPlan, ops: OpCounter | None = None, keep: int | None = None)
         first = base
     if base == 2:
         mults = _radix2(x, plan.root_table, first)
+    elif base == 3:
+        mults = _radix3(x, plan.root_table, first, keep <= m)
     else:
         mults = _radix_b(x, plan.root_table, base, first, keep <= m)
     if ops is not None:
@@ -368,6 +377,163 @@ def _radix2(x, roots, L):
     return mults
 
 
+def _radix3(x, roots, L, pruned):
+    """Radix-3 stages L, 3L, ..., n in place on digit-reversed x; returns the multiplication count.
+
+    Every butterfly does the float operations of ``_pair_butterfly`` at
+    b = 3 on the twiddled entries t0, t1, t2: s = t1 + t2, y0 = t0 + s,
+    a = t0 + s*cos, B = (t1 - t2)*isin, y1 = a + B, y2 = a - B, so outputs
+    and counts equal ``_radix_b``'s to the bit. When the stages to run in
+    full (up to n/3 if ``pruned``, else up to n) are odd in number, the first
+    runs alone, one scalar butterfly per position. Every later sweep runs
+    stages L and 3L together as a radix-3**2 butterfly on the nine entries
+    off + k + j*m, j = 0..8: the stage-L results stay in locals and only the
+    stage-3L results are stored. A pruned last stage then forms y0 alone.
+    Everything runs in place; twiddle index 0 is not multiplied.
+    """
+    n = len(x)
+    top = n // 3 if pruned and L <= n else n
+    cos = complex(roots[n // 3].real, 0.0)
+    isin = complex(0.0, roots[n // 3].imag)
+    mults = 0
+    if top // L % 8 == 1:  # top // L is 3**e, which is 1 mod 8 for even e: L..top are odd in number
+        m = L // 3
+        m2 = 2 * m
+        s = n // L
+        mults += (4 * m - 2) * s
+        for k in range(m):
+            w1 = roots[s * k]
+            w2 = roots[2 * s * k]
+            for p in range(k, n, L):
+                t0 = x[p]
+                t1 = x[p + m]
+                t2 = x[p + m2]
+                if k:
+                    t1 *= w1
+                    t2 *= w2
+                u = t1 + t2
+                d = (t1 - t2) * isin
+                a = t0 + u * cos
+                x[p], x[p + m], x[p + m2] = t0 + u, a + d, a - d
+        L *= 3
+    o = n // 9
+    # at k = 0 stage L takes no twiddle and stage 3L twiddles only its entries m and 2m,
+    # by roots n/9, 2n/9 and 4n/9 in every sweep
+    c1, c2, c4 = roots[o], roots[2 * o], roots[4 * o]
+    while 3 * L <= top:
+        m = L // 3
+        s = n // (3 * L)  # twiddle r of k is roots[r*s*k] at stage 3L, roots[3*r*s*k] at L
+        mults += (4 * m - 2) * 3 * s + (12 * m - 2) * s
+        # k = 1..m-1: stage L at k, stage 3L at k, m + k and 2m + k
+        rows = zip(
+            range(1, m),
+            roots[3 * s : 3 * o : 3 * s],
+            roots[6 * s : 6 * o : 6 * s],
+            roots[s:o:s],
+            roots[2 * s : 2 * o : 2 * s],
+            roots[o + s : 2 * o : s],
+            roots[2 * o + 2 * s : 4 * o : 2 * s],
+            roots[2 * o + s : 3 * o : s],
+            roots[4 * o + 2 * s : 6 * o : 2 * s],
+        )
+        if 3 * L < n:
+            rows = list(rows)  # read once per block; the last sweep has one block
+        for p0 in range(0, n, 3 * L):
+            p1 = p0 + m
+            p2 = p1 + m
+            p3 = p2 + m
+            p4 = p3 + m
+            p5 = p4 + m
+            p6 = p5 + m
+            p7 = p6 + m
+            p8 = p7 + m
+            t0 = x[p0]
+            t1 = x[p1]
+            t2 = x[p2]
+            u = t1 + t2
+            d = (t1 - t2) * isin
+            a = t0 + u * cos
+            y0, y1, y2 = t0 + u, a + d, a - d
+            t0 = x[p3]
+            t1 = x[p4]
+            t2 = x[p5]
+            u = t1 + t2
+            d = (t1 - t2) * isin
+            a = t0 + u * cos
+            y3, y4, y5 = t0 + u, a + d, a - d
+            t0 = x[p6]
+            t1 = x[p7]
+            t2 = x[p8]
+            u = t1 + t2
+            d = (t1 - t2) * isin
+            a = t0 + u * cos
+            y6, y7, y8 = t0 + u, a + d, a - d
+            u = y3 + y6
+            d = (y3 - y6) * isin
+            a = y0 + u * cos
+            x[p0], x[p3], x[p6] = y0 + u, a + d, a - d
+            t1 = y4 * c1
+            t2 = y7 * c2
+            u = t1 + t2
+            d = (t1 - t2) * isin
+            a = y1 + u * cos
+            x[p1], x[p4], x[p7] = y1 + u, a + d, a - d
+            t1 = y5 * c2
+            t2 = y8 * c4
+            u = t1 + t2
+            d = (t1 - t2) * isin
+            a = y2 + u * cos
+            x[p2], x[p5], x[p8] = y2 + u, a + d, a - d
+            for k, w1, w2, v1, v2, v3, v4, v5, v6 in rows:
+                t1 = x[p1 + k] * w1
+                t2 = x[p2 + k] * w2
+                t0 = x[p0 + k]
+                u = t1 + t2
+                d = (t1 - t2) * isin
+                a = t0 + u * cos
+                y0, y1, y2 = t0 + u, a + d, a - d
+                t1 = x[p4 + k] * w1
+                t2 = x[p5 + k] * w2
+                t0 = x[p3 + k]
+                u = t1 + t2
+                d = (t1 - t2) * isin
+                a = t0 + u * cos
+                y3, y4, y5 = t0 + u, a + d, a - d
+                t1 = x[p7 + k] * w1
+                t2 = x[p8 + k] * w2
+                t0 = x[p6 + k]
+                u = t1 + t2
+                d = (t1 - t2) * isin
+                a = t0 + u * cos
+                y6, y7, y8 = t0 + u, a + d, a - d
+                t1 = y3 * v1
+                t2 = y6 * v2
+                u = t1 + t2
+                d = (t1 - t2) * isin
+                a = y0 + u * cos
+                x[p0 + k], x[p3 + k], x[p6 + k] = y0 + u, a + d, a - d
+                t1 = y4 * v3
+                t2 = y7 * v4
+                u = t1 + t2
+                d = (t1 - t2) * isin
+                a = y1 + u * cos
+                x[p1 + k], x[p4 + k], x[p7 + k] = y1 + u, a + d, a - d
+                t1 = y5 * v5
+                t2 = y8 * v6
+                u = t1 + t2
+                d = (t1 - t2) * isin
+                a = y2 + u * cos
+                x[p2 + k], x[p5 + k], x[p8 + k] = y2 + u, a + d, a - d
+        L *= 9
+    if top < n:
+        m = top
+        mults += 2 * m - 2
+        x[0] += x[m] + x[2 * m]
+        for k, t1, t2, w1, w2 in zip(range(1, m), x[m + 1 : 2 * m], x[2 * m + 1 :], roots[1:m], roots[2 : 2 * m : 2]):
+            x[k] += t1 * w1 + t2 * w2
+    return mults
+
+
 def _radix_b(x, roots, b, L, pruned):
     """Radix-b stages L, b*L, ..., n in place on digit-reversed x, any b >= 3; returns the count.
 
@@ -376,7 +542,9 @@ def _radix_b(x, roots, b, L, pruned):
     otherwise it loops over blocks and takes contiguous slices, zipped with
     a strided slice of the twiddles. The twiddled slices then go through
     ``_pair_butterfly``. ``pruned`` keeps only output block q = 0 of the
-    last stage, whose sums take no multiplication.
+    last stage, whose sums take no multiplication. ``dft`` runs it at every
+    base but 2 and 3; at base 3 it is the bit-for-bit reference of
+    ``_radix3`` in the tests.
     """
     n = len(x)
     h = (b - 1) // 2
@@ -485,7 +653,9 @@ def circulant_matvec(first_row, v, base: int, ops: OpCounter | None = None):
     if len(v) != n:
         raise ValueError(f"length mismatch: row {n}, vector {len(v)}")
     plan = plan_for(n, base)
-    w = list(map(mul, dft(first_row, plan, ops), idft(v, plan, ops)))
+    w = dft(first_row, plan, ops)
+    del first_row  # often the caller's temporary: it dies before the inverse transform runs
+    w = list(map(mul, w, idft(v, plan, ops)))
     if ops is not None:
         ops.add(n)
     return dft(w, plan, ops)
@@ -510,6 +680,7 @@ def neg_circulant_matvec(first_row, v, base: int, ops: OpCounter | None = None):
     d[::2] = roots
     d[1::2] = map(mul, roots[: n // 2], repeat(rho))
     row = list(map(mul, d, map(complex, first_row)))
+    del first_row  # often the caller's temporary: it dies before the transforms run
     w = circulant_matvec(row, list(map(mul, map(complex.conjugate, d), map(complex, v))), plan.base, ops)
     if ops is not None:
         # odd rho powers plus three diagonal scalings of length n

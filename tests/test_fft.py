@@ -81,8 +81,9 @@ def _bits(v):
 
 @pytest.mark.parametrize("base, top", EVERY_LENGTH)
 def test_dft_every_length_matches_naive_oracle(base, top):
-    # odd and even radix-2 stage counts; for b >= 3 both the strided (m <= n/L)
-    # and the contiguous slices, and at bases 4 and 6 outputs where q*r = 0 mod b
+    # odd and even radix-2 and radix-3 stage counts; for b >= 4 both the strided
+    # (m <= n/L) and the contiguous slices, and at bases 4 and 6 outputs where
+    # q*r = 0 mod b
     rng = random.Random(base)
     for k in range(top + 1):
         n = base**k
@@ -149,6 +150,42 @@ def test_base2_idft_equals_conjugated_plain_loops_bit_for_bit():
         for z in ([rng.uniform(-1, 1) for _ in range(n)], [complex(0.5, -0.0)]):
             want, _ = plain_radix2_dft(z + [0j] * (n - len(z)), inverse=True)
             assert idft(z, plan) == want, (n, len(z))
+
+
+def test_base3_transforms_equal_the_generic_kernel_bit_for_bit(monkeypatch):
+    # _radix3 does _radix_b's float operations at b = 3, so dft and idft give the
+    # same bits and counts with _radix_b swapped in behind the same load: full
+    # and short inputs, pruned and unpruned last stages, odd and even stage
+    # counts, all four signed zeros planted, imaginary parts all -0.0 (whose
+    # signs a k = 0 entry multiplied by 1+0j would flip), and int inputs
+    import lttkit.fft as fft
+
+    def generic(x, roots, L, pruned):
+        return fft._radix_b(x, roots, 3, L, pruned)
+
+    rng = random.Random(47)
+    for k in range(10):
+        n = 3**k
+        plan = plan_for(n, 3)
+        zs = [[rng.randint(-3, 3) for _ in range(n)], _zero_imag(rng, n)]
+        for length in sorted({n, n // 3, n // 3 - 1, n // 9, 1} - {0, -1}):
+            z = _rand_vec(rng, length)
+            for j in range(0, length, 5):
+                z[j] = ZEROS[j // 5 % 4]
+            zs.append(z)
+        keeps = sorted({n, n // 3, n // 3 - 1, 1} - {0, -1})
+        for j, z in enumerate(zs):
+            # each input with every keep up to 3**7; above, with one keep in turn,
+            # the int input with keep = n and the full random one with n/3 - 1
+            for keep in keeps if k < 8 else [keeps[-1 - j % len(keeps)]]:
+                for transform in (dft, idft):
+                    ops, want_ops = OpCounter(), OpCounter()
+                    got = transform(z, plan, ops, keep)
+                    monkeypatch.setattr(fft, "_radix3", generic)
+                    want = transform(z, plan, want_ops, keep)
+                    monkeypatch.undo()
+                    assert _bits(got) == _bits(want), (transform.__name__, n, len(z), keep)
+                    assert ops.mults == want_ops.mults, (transform.__name__, n, len(z), keep)
 
 
 @pytest.mark.parametrize("base", [2, 3, 4, 5, 6, 7])
@@ -311,9 +348,10 @@ def _pair_saving(n, base):
     return (per_output - 2 * h * h) * (n // base) * k
 
 
-# Counts of the per-element butterfly loops the two kernels replaced. Base 2
+# Counts of the per-element butterfly loops the kernels replaced. Base 2
 # still takes them to the bit; at base b >= 3 a block of length L = b*m
 # takes (b-1)(m-1) twiddles plus 2*h*h*m, which is _pair_saving fewer.
+# 243 runs base 3's single leading stage before its sweeps, 729 sweeps only.
 @pytest.mark.parametrize(
     "n, base, mults",
     [
@@ -324,6 +362,8 @@ def _pair_saving(n, base):
         (2048, 2, 9217),
         (3, 3, 4),
         (81, 3, 568),
+        (243, 3, 2188),
+        (729, 3, 8020),
         (4, 4, 8),
         (64, 4, 465),
         (5, 5, 16),
@@ -565,10 +605,11 @@ def test_ltt_matvec_fft_equals_the_split_of_its_spec_bit_for_bit():
         assert ops.mults == split_ops.mults, (base, len(a))
 
 
-@pytest.mark.parametrize("product, bound", [("split", 370), ("embed", 300), ("ltt", 370)])
+@pytest.mark.parametrize("product, bound", [("split", 325), ("embed", 300), ("ltt", 325)])
 def test_product_peak_memory_per_unknown(product, bound, traced_peak):
     # traced bytes per unknown of one base-2 product at n = 4096, plans built
-    # first: about 325, 241 and 325 while no operand outlives its last use
+    # first: about 285, 241 and 285 while no operand outlives its last use
+    # (325, 241 and 325 while the circulant products held their first rows)
     n = 4096
     rng = random.Random(71)
     spec = ToeplitzSpec(n, tuple(_rand_vec(rng, 2 * n - 1)))
