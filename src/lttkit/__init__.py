@@ -34,15 +34,12 @@ from .fft import (
     toeplitz_matvec_split,
 )
 from .opcount import OpCounter
-from .scalars import field_of, format_scalar, neg_root, parse_scalar, principal_root
+from .scalars import field_of, format_scalar, neg_root, parse_scalar
 from .series import (
     SingularMatrixError,
-    ltt_compose,
     ltt_matvec_naive,
     ltt_solve_forward,
     read_vector,
-    spread,
-    unspread,
     write_vector,
 )
 from .solver import (
@@ -74,7 +71,6 @@ __all__ = [
     "gen_system",
     "idft",
     "invert_first_column",
-    "ltt_compose",
     "ltt_matvec_naive",
     "ltt_solve_fast",
     "ltt_solve_forward",
@@ -82,17 +78,14 @@ __all__ = [
     "neg_root",
     "parse_scalar",
     "plan_for",
-    "principal_root",
     "ramanujan_rhs",
     "read_vector",
     "scaling_diag",
     "sparsify_hat",
     "sparsify_step",
-    "spread",
     "tartaglia_check",
     "toeplitz_matvec_embed",
     "toeplitz_matvec_split",
-    "unspread",
     "von_staudt_check",
     "write_vector",
     "zeta_consistency",

@@ -79,7 +79,6 @@ __all__ = [
     "idft",
     "circulant_matvec",
     "neg_circulant_matvec",
-    "circulant_embedding_row",
     "toeplitz_matvec_embed",
     "toeplitz_matvec_split",
     "toeplitz_matvec_naive",
@@ -87,20 +86,17 @@ __all__ = [
 ]
 
 
-def _check_power(n: int, base: int) -> int:
-    """Return k with n == base**k, or raise."""
+def _check_power(n: int, base: int) -> None:
+    """Raise ValueError unless n is a power of base."""
     if base < 2:
         raise ValueError("base must be >= 2")
     if n < 1:
         raise ValueError("length must be >= 1")
-    k = 0
     m = n
     while m > 1:
         if m % base:
             raise ValueError(f"length {n} is not a power of base {base}")
         m //= base
-        k += 1
-    return k
 
 
 _INDEXES: list[int] = []  # the permutation entries of every plan
@@ -719,13 +715,11 @@ class ToeplitzSpec:
         return cls(n, tuple([0] * (n - 1) + list(a)))
 
 
-def circulant_embedding_row(spec: ToeplitzSpec, base: int) -> list:
+def _embedding_row(spec: ToeplitzSpec, base: int) -> list:
     """First row of the (base*n)-circulant whose upper-left block is the Toeplitz.
 
     Layout: [t_0, t_{-1}, ..., t_{-n+1}, zeros((base-2)*n + 1), t_{n-1}, ..., t_1].
     """
-    if base < 2:
-        raise ValueError("base must be >= 2")
     n = spec.n
     d = spec.diags  # t_k sits at d[n - 1 + k]
     return list(d[n - 1 :: -1]) + [0] * ((base - 2) * n + 1) + list(d[: n - 1 : -1])
@@ -746,7 +740,7 @@ def toeplitz_matvec_embed(spec: ToeplitzSpec, v, base: int, ops: OpCounter | Non
         raise ValueError(f"length mismatch: matrix {n}, vector {len(v)}")
     _check_power(n, base)
     plan = plan_for(base * n, base)
-    w = list(map(mul, dft(circulant_embedding_row(spec, base), plan, ops), idft(v, plan, ops)))
+    w = list(map(mul, dft(_embedding_row(spec, base), plan, ops), idft(v, plan, ops)))
     if ops is not None:
         ops.add(base * n)
     return dft(w, plan, ops, keep=n)

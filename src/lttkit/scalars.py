@@ -73,17 +73,6 @@ def field_of(values) -> str:
     return RATIONAL
 
 
-def principal_root(r: int) -> complex:
-    """The r-th root of unity exp(2*pi*i/r): t**r = 1 and t**i != 1 for 0<i<r.
-
-    The counterclockwise orientation is fixed; every transform in this
-    package uses the same convention.
-    """
-    if r < 1:
-        raise ValueError("root order must be >= 1")
-    return cmath.exp(2j * cmath.pi / r)
-
-
 def neg_root(n: int) -> complex:
     """exp(pi*i/n), the canonical solution of rho**n = -1, rho**i != -1 for 0<i<n."""
     if n < 1:

@@ -195,12 +195,6 @@ def ltt_matvec_kronecker(a, v, ops: OpCounter | None = None):
     return _values(_kronecker([ia], iv, ops)[0], da * dv, min(first_non_int(a), first_non_int(v)))
 
 
-# The first column of the product of the l.t.T. matrices built on a and u is
-# L(a) u, the same truncated series product, so the result column again
-# generates the product matrix.
-ltt_compose = ltt_matvec_naive
-
-
 def _extend_denominator(values, den, q):
     """Integer numerators ``values`` over ``den``, brought over a multiple of ``q``.
 
@@ -298,33 +292,6 @@ def ltt_solve_forward(a, f):
             raise OverflowError("the solution leaves the double range")
         return x
     return _substitute(_toeplitz_rows(a, f), _int_prefix(a, first_non_int(f)))
-
-
-def spread(v, base: int, power: int, out_len: int):
-    """Insert base**power - 1 zeros after each component, truncate to out_len.
-
-    Component v[j] lands at index j * base**power; indexes past out_len are
-    dropped.
-    """
-    if base < 2 or power < 1:
-        raise ValueError("spread needs base >= 2 and power >= 1")
-    if out_len < 1:
-        raise ValueError("output length must be >= 1")
-    step = base**power
-    out = [0] * out_len
-    for j, value in enumerate(v):
-        pos = j * step
-        if pos >= out_len:
-            break
-        out[pos] = value
-    return out
-
-
-def unspread(v, base: int, power: int = 1):
-    """Keep the components at indexes 0, base**power, 2*base**power, ..."""
-    if base < 2 or power < 1:
-        raise ValueError("unspread needs base >= 2 and power >= 1")
-    return list(v[:: base**power])
 
 
 def format_vector(values) -> str:

@@ -90,6 +90,7 @@ import math
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import cached_property
+from itertools import repeat
 from operator import mul
 
 from . import fft, series
@@ -383,6 +384,14 @@ def invert_first_column(a, base: int, ops: OpCounter | None = None):
     A column whose off-multiple entries are already zero skips its
     nullification level, the shorter column is read off directly.
     """
+    x, den, trace = _inverse(a, base, ops)
+    if den is not None:
+        x = series._values(x, den, series._int_prefix(a, len(a)))
+    return x, trace
+
+
+def _inverse(a, base, ops):
+    """invert_first_column's (x, den, trace): x as integer numerators over den, or complex with den None."""
     if base < 2:
         raise ValueError("base must be >= 2")
     n = len(a)
@@ -425,13 +434,24 @@ def invert_first_column(a, base: int, ops: OpCounter | None = None):
             w = _apply_hat_samples(*step, w, base, counter)
         else:
             w, wden = series._reduced(_apply_hat(step[0], w, base, counter), step[1] * wden)
+    trace = SolveTrace(base, levels, counter.mults - start, first)
     if field == RATIONAL:
-        x = series._values([v * a0.denominator for v in w], wden * a0.numerator, series._int_prefix(a, n))
-    else:
-        x = w[:n] if a0 == 1 else [v / a0 for v in w[:n]]
-        if not all(map(cmath.isfinite, x)):
-            raise OverflowError("the inverse's first column leaves the double range")
-    return x, SolveTrace(base, levels, counter.mults - start, first)
+        return (*series._reduced([v * a0.denominator for v in w], wden * a0.numerator), trace)
+    x = w[:n] if a0 == 1 else [v / a0 for v in w[:n]]
+    if not all(map(cmath.isfinite, x)):
+        raise OverflowError("the inverse's first column leaves the double range")
+    return x, None, trace
+
+
+def _unit_scaled(v):
+    """(v * 2**-e, e): the power of two that brings v's largest modulus into [1, 2), exact unless an entry underflows.
+
+    The moduli are of halved entries, as that of a finite complex can pass
+    the largest double. e stays in [-1021, 1023]: 2**-e and the halves of a
+    sum of two are doubles.
+    """
+    e = min(max(math.frexp(max(map(abs, map(mul, v, repeat(0.5)))))[1], -1021), 1023)
+    return (list(map(mul, v, repeat(2.0**-e))) if e else v), e
 
 
 def ltt_solve_fast(a, f, base: int, with_trace: bool = False):
@@ -446,8 +466,9 @@ def ltt_solve_fast(a, f, base: int, with_trace: bool = False):
     returned pair carries a SolveTrace whose count includes the final
     product. In a complex solve, an entry of the column or the right-hand
     side that is NaN, infinite or beyond the double range raises ValueError,
-    and a product whose transforms or result leave the double range raises
-    OverflowError.
+    and an x that leaves the double range raises OverflowError. The product
+    runs on operands scaled by powers of two, so its transforms overflow
+    only where x does.
     """
     if len(f) != len(a):
         raise ValueError(f"length mismatch: column {len(a)}, rhs {len(f)}")
@@ -457,15 +478,21 @@ def ltt_solve_fast(a, f, base: int, with_trace: bool = False):
         _require_finite(f, "rhs")
         a = [complex(v) for v in a]
     ops = OpCounter()
-    inv_col, trace = invert_first_column(a, base, ops)
+    inv, iden, trace = _inverse(a, base, ops)
     if cx:
+        # each operand scaled by a power of two to a largest modulus near 1 and x scaled back, in
+        # two halves: the transforms overflow only where x does, and x is otherwise unchanged
         pad = [0j] * (_power_at_least(len(a), base) - len(a))
-        x = fft.ltt_matvec_fft(inv_col + pad, list(f) + pad, base, ops)[: len(a)]
+        (inv, ea), (g, eg) = _unit_scaled(inv), _unit_scaled(f)
+        x = fft.ltt_matvec_fft([*inv, *pad], [*g, *pad], base, ops)[: len(a)]
+        for k in ((ea + eg) // 2, (ea + eg + 1) // 2):
+            if k:
+                x = list(map(mul, x, repeat(2.0**k)))
         if not all(map(cmath.isfinite, x)):
             raise OverflowError("the final product leaves the double range")
     else:
-        # inv_col(z) = h(z**b): _apply_hat's f(z) * h(z**b), b products of a b-th of the length
-        (inv, iden), (nums, fden) = series._numerators(inv_col), series._numerators(f)
+        # inv(z) = h(z**b): _apply_hat's f(z) * h(z**b), b products of a b-th of the length
+        nums, fden = series._numerators(f)
         b = base if _already_sparse(inv, base) else 1
         ints = series._int_prefix(a, series.first_non_int(f))
         x = series._values(_apply_hat(nums, inv[::b], b, ops), iden * fden, ints)

@@ -18,7 +18,7 @@ from oracles import (
 from lttkit.fft import (
     DftPlan,
     ToeplitzSpec,
-    circulant_embedding_row,
+    _embedding_row,
     circulant_matvec,
     dft,
     idft,
@@ -504,8 +504,8 @@ def test_toeplitz_spec_validation():
 def test_embedding_row_layout():
     # order 4 into an 8-circulant: [t0, t-1, t-2, t-3, 0, t3, t2, t1]
     spec = ToeplitzSpec(4, (-3, -2, -1, 5, 1, 2, 3))  # t_0 = 5, t_k = k otherwise
-    assert circulant_embedding_row(spec, 2) == [5, -1, -2, -3, 0, 3, 2, 1]
-    assert circulant_embedding_row(spec, 3) == [5, -1, -2, -3, 0, 0, 0, 0, 0, 3, 2, 1]
+    assert _embedding_row(spec, 2) == [5, -1, -2, -3, 0, 3, 2, 1]
+    assert _embedding_row(spec, 3) == [5, -1, -2, -3, 0, 0, 0, 0, 0, 3, 2, 1]
 
 
 def test_embed_lower_triangular_first_column():

@@ -1,9 +1,10 @@
-"""Package hygiene: the stdlib-only import closure, independent oracles, the public API, no unread private function."""
+"""Package hygiene: the stdlib-only import closure, independent oracles, the public API, no unread function."""
 
 import ast
 import importlib
 import os
 import pkgutil
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -20,11 +21,10 @@ PUBLIC = {
         "BernoulliSystem", "BinomialSystem", "DftPlan", "METHODS", "OpCounter", "SingularMatrixError",
         "SolveTrace", "SparsifyResult", "ToeplitzSpec", "bernoulli_numbers", "binomial_system",
         "circulant_matvec", "convert_type", "dft", "field_of", "format_scalar", "gen_system", "idft",
-        "invert_first_column", "ltt_compose", "ltt_matvec_naive", "ltt_solve_fast", "ltt_solve_forward",
-        "neg_circulant_matvec", "neg_root", "parse_scalar", "plan_for", "principal_root", "ramanujan_rhs",
-        "read_vector", "scaling_diag", "sparsify_hat", "sparsify_step", "spread", "tartaglia_check",
-        "toeplitz_matvec_embed", "toeplitz_matvec_split", "unspread", "von_staudt_check", "write_vector",
-        "zeta_consistency",
+        "invert_first_column", "ltt_matvec_naive", "ltt_solve_fast", "ltt_solve_forward", "neg_circulant_matvec",
+        "neg_root", "parse_scalar", "plan_for", "ramanujan_rhs", "read_vector", "scaling_diag", "sparsify_hat",
+        "sparsify_step", "tartaglia_check", "toeplitz_matvec_embed", "toeplitz_matvec_split", "von_staudt_check",
+        "write_vector", "zeta_consistency",
     ],
     "lttkit.bernoulli": [
         "BernoulliSystem", "BinomialSystem", "ConversionError", "FAMILIES", "KINDS", "METHODS",
@@ -32,15 +32,23 @@ PUBLIC = {
         "scaling_diag", "tartaglia_check", "von_staudt_check", "zeta_consistency",
     ],
     "lttkit.fft": [
-        "DftPlan", "ToeplitzSpec", "circulant_embedding_row", "circulant_matvec", "dft", "idft",
-        "ltt_matvec_fft", "neg_circulant_matvec", "plan_for", "toeplitz_matvec_embed",
-        "toeplitz_matvec_naive", "toeplitz_matvec_split",
+        "DftPlan", "ToeplitzSpec", "circulant_matvec", "dft", "idft", "ltt_matvec_fft", "neg_circulant_matvec",
+        "plan_for", "toeplitz_matvec_embed", "toeplitz_matvec_naive", "toeplitz_matvec_split",
     ],
     "lttkit.solver": [
         "SolveTrace", "SparsifyResult", "invert_first_column", "ltt_solve_fast", "sparsify_hat",
         "sparsify_step",
     ],
 }
+
+# Public names kept for what they are, read by code or not: the paper's own
+# procedures, products and checks, the exact counterpart of
+# fft.ltt_matvec_fft, and the writer that pairs with read_vector.
+KEPT = (
+    "convert_type", "ltt_matvec_kronecker", "ltt_matvec_naive", "ramanujan_rhs", "sparsify_hat", "sparsify_step",
+    "tartaglia_check", "toeplitz_matvec_embed", "toeplitz_matvec_naive", "toeplitz_matvec_split",
+    "von_staudt_check", "write_vector", "zeta_consistency",
+)
 
 
 def test_import_loads_only_stdlib_modules():
@@ -85,6 +93,13 @@ def test_public_names_are_pinned_and_resolve():
             assert hasattr(module, attr), (name, attr)
 
 
+def test_readme_api_section_names_the_exports():
+    # the bare names quoted in the bullets of the README's API section
+    section = (TESTS.parent / "README.md").read_text(encoding="utf-8").split("\n## API\n")[1].split("\n## ")[0]
+    bullets = section[section.index("\n* ") :]
+    assert set(re.findall(r"`(\w+)`", bullets)) == set(lttkit.__all__)
+
+
 def test_every_private_function_is_used():
     # a module-level _name defined in src/lttkit and read nowhere in its code is
     # dead; docstrings, comments and imports do not count as reads
@@ -104,3 +119,47 @@ def test_every_private_function_is_used():
     ]
     assert private
     assert [(module, name) for module, name in private if name not in read] == []
+
+
+def _reads(tree):
+    """Names and attributes read in tree, except a function's own locals and the selftest's _suite_* checks."""
+    reads = set()
+
+    def visit(node, local):
+        if isinstance(node, ast.FunctionDef):
+            if node.name.startswith("_suite_"):
+                return
+            local = local | {
+                n.arg if isinstance(n, ast.arg) else n.id
+                for n in ast.walk(node)
+                if isinstance(n, ast.arg) or isinstance(n, ast.Name) and isinstance(n.ctx, ast.Store)
+            }
+        elif isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load) and node.id not in local:
+            reads.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            reads.add(node.attr)
+        for child in ast.iter_child_nodes(node):
+            visit(child, local)
+
+    visit(tree, frozenset())
+    return reads
+
+
+def test_every_public_function_is_read():
+    # a public def, class or alias that only the selftest checks and the tests call
+    # is dead unless KEPT names it; perfbench reads by name or by string
+    trees = {path.name: ast.parse(path.read_text(encoding="utf-8")) for path in (SRC / "lttkit").glob("*.py")}
+    read = set().union(*map(_reads, trees.values()))
+    for path in (TESTS.parent / "perfbench").glob("*.py"):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        read |= _reads(tree) | {n.value for n in ast.walk(tree) if isinstance(n, ast.Constant)}
+    public = set()
+    for module, tree in trees.items():
+        for node in tree.body if module != "cli.py" else ():
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                public.add(node.name)
+            elif isinstance(node, ast.Assign):
+                public.update(t.id for t in node.targets if isinstance(t, ast.Name))
+    public = {name for name in public if not name.startswith("_")}
+    assert set(KEPT) <= public
+    assert sorted(public - read - set(KEPT)) == []

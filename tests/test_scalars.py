@@ -10,7 +10,6 @@ from lttkit.scalars import (
     format_scalar,
     neg_root,
     parse_scalar,
-    principal_root,
 )
 
 
@@ -60,12 +59,6 @@ def test_field_of():
     assert field_of([1j]) == "complex"
 
 
-def test_principal_root_examples():
-    assert abs(principal_root(2) - (-1)) < 1e-15
-    assert abs(principal_root(4) - 1j) < 1e-15
-    assert abs(principal_root(3) - complex(-0.5, math.sqrt(3) / 2)) < 1e-15
-
-
 def test_neg_root_examples():
     assert abs(neg_root(1) - (-1)) < 1e-15
     assert abs(neg_root(2) - 1j) < 1e-15
@@ -74,10 +67,6 @@ def test_neg_root_examples():
 
 def test_root_orders():
     for r in range(1, 65):
-        t = principal_root(r)
-        assert abs(t**r - 1) < 1e-14
-        for i in range(1, r):
-            assert abs(t**i - 1) > 1e-6
         rho = neg_root(r)
         assert abs(rho**r + 1) < 1e-13
         for i in range(1, r):
@@ -85,8 +74,6 @@ def test_root_orders():
 
 
 def test_root_rejects_zero_order():
-    with pytest.raises(ValueError):
-        principal_root(0)
     with pytest.raises(ValueError):
         neg_root(0)
 

@@ -8,10 +8,8 @@ from oracles import Eisenstein, dense_forward_substitution, max_rel_err, product
 from lttkit.bernoulli import gen_system
 from lttkit.series import (
     SingularMatrixError,
-    ltt_compose,
     ltt_matvec_naive,
     ltt_solve_forward,
-    spread,
 )
 from lttkit.solver import (
     invert_first_column,
@@ -73,7 +71,7 @@ def test_hat_nullifies_off_multiples():
     for base in (2, 3):
         for n in (8, 16, 27, 81):
             a = _rat_column(rng, n)
-            w = ltt_compose(a, sparsify_hat(a, base))
+            w = ltt_matvec_naive(a, sparsify_hat(a, base))
             assert w[0] == 1
             for i in range(1, n):
                 if i % base:
@@ -121,7 +119,7 @@ def test_sparsify_step_examples():
     res = sparsify_step(a, 3)
     assert res.next[0] == 1
     assert res.next[1] == 3 * a[3] - 3 * a[1] * a[2] + a[1] ** 3
-    full = ltt_compose(a, res.hat)
+    full = ltt_matvec_naive(a, res.hat)
     assert res.next == [full[3 * i] for i in range(3)]
 
     e1 = _e1(6)
@@ -205,7 +203,9 @@ def test_invert_skips_presparsified_level():
             x_short, short_trace = invert_first_column(col[::base], base)
             assert trace.hat_columns[0] == _e1(n)
             assert trace.mult_count == short_trace.mult_count, (base, col[0])
-            assert x == spread(x_short, base, 1, n), (base, col[0])
+            spread = [0] * n
+            spread[::base] = x_short
+            assert x == spread, (base, col[0])
         x, _ = invert_first_column(a, base)
         assert x == ltt_solve_forward(a, _e1(n))
         x_complex, _ = invert_first_column(ac, base)
@@ -273,7 +273,9 @@ def _telescope(a, hats, base):
     # is zero off the multiples of base**(j+1), and after the last it is e_1
     n, col = len(a), list(a)
     for j, hat in enumerate(hats):
-        col = ltt_compose(spread(hat, base, j, n) if j else list(hat), col)
+        spread = [0] * n
+        spread[:: base**j] = hat  # hat[k] at k * base**j: level j's column has ceil(n / base**j) entries
+        col = ltt_matvec_naive(spread, col)
         yield [v for i, v in enumerate(col) if i % base ** (j + 1)], col
 
 
@@ -598,10 +600,24 @@ def test_solve_fast_rejects_non_finite_entries():
 
 
 def test_solve_fast_refuses_an_overflowing_final_product():
-    # x = f is in range, but the split product's transforms of f overflow and
-    # would return four NaNs; a false overflow until the solve scales its operands
+    # the inverse column [1, 1e200] is in range, x = [1e200, 1e400] is not
     with pytest.raises(OverflowError, match="^the final product leaves the double range$"):
-        ltt_solve_fast([1, 0, 0, 0], [1e308] * 4, 2)
+        ltt_solve_fast([1, -1e200], [1e200, 0], 2)
+
+
+def test_solve_fast_final_product_overflows_only_with_x():
+    # x = f is in range, but the split product's transforms of f alone would
+    # overflow; the operands are scaled by powers of two, and x back
+    for base, n in ((2, 4), (3, 9), (5, 25)):
+        f = [1e308] * n
+        assert max_rel_err(ltt_solve_fast([1] + [0] * (n - 1), f, base), f) < 1e-14, base
+    # the scaling is exact: x equals the unscaled solve's to the bit
+    rng = random.Random(97)
+    a, f = _cx_column(rng, 27), [complex(rng.uniform(-1, 1), rng.uniform(-1, 1)) for _ in range(27)]
+    x = ltt_solve_fast(a, f, 3)
+    for e in (-1000, -3, 5, 900):
+        scaled = ltt_solve_fast(a, [v * 2.0**e for v in f], 3)
+        assert [v * 2.0**-e for v in scaled] == x, e
 
 
 def test_overflowing_levels_name_the_level_length():
