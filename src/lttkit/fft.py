@@ -702,12 +702,6 @@ class ToeplitzSpec:
             raise ValueError(f"need {2 * self.n - 1} diagonals, got {len(self.diags)}")
         object.__setattr__(self, "diags", tuple(self.diags))
 
-    def value(self, k: int):
-        """Diagonal value t_k, zero outside -(n-1) <= k <= n-1."""
-        if -self.n < k < self.n:
-            return self.diags[self.n - 1 + k]
-        return 0
-
     @classmethod
     def from_lower_column(cls, a) -> "ToeplitzSpec":
         """Lower triangular Toeplitz spec whose first column is a."""

@@ -252,6 +252,8 @@ def test_convert_rejects_tampered_system():
 def test_golden_values_every_method():
     for method in METHODS:
         assert bernoulli_numbers(9, method) == GOLDEN
+        if method.startswith("ltt-"):
+            assert bernoulli_numbers(9, method, solver="fast") == GOLDEN, method
 
 
 def test_count_one():
@@ -276,7 +278,7 @@ def test_fast_solver_agrees_with_forward():
 
 
 def test_result_independent_of_x():
-    for method in ("ltt-even-I", "ltt-odd-I", "ltt-ram-II"):
+    for method in ("ltt-even-I", "ltt-even-II", "ltt-odd-I", "ltt-ram-II"):
         assert bernoulli_numbers(16, method, x=Fraction(7, 3)) == bernoulli_numbers(16, method)
 
 

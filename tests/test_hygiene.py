@@ -1,5 +1,6 @@
 """Package hygiene: the stdlib-only import closure, independent oracles, the public API, no unread function."""
 
+import argparse
 import ast
 import importlib
 import os
@@ -10,6 +11,7 @@ import sys
 from pathlib import Path
 
 import lttkit
+from lttkit.cli import _build_parser
 
 TESTS = Path(__file__).resolve().parent
 SRC = TESTS.parent / "src"
@@ -122,13 +124,11 @@ def test_every_private_function_is_used():
 
 
 def _reads(tree):
-    """Names and attributes read in tree, except a function's own locals and the selftest's _suite_* checks."""
+    """Names and attributes read in tree, except a function's own locals."""
     reads = set()
 
     def visit(node, local):
         if isinstance(node, ast.FunctionDef):
-            if node.name.startswith("_suite_"):
-                return
             local = local | {
                 n.arg if isinstance(n, ast.arg) else n.id
                 for n in ast.walk(node)
@@ -146,13 +146,15 @@ def _reads(tree):
 
 
 def test_every_public_function_is_read():
-    # a public def, class or alias that only the selftest checks and the tests call
-    # is dead unless KEPT names it; perfbench reads by name or by string
+    # a public def, class, alias, or method of a public class, that only the tests
+    # call is dead unless KEPT names it; perfbench reads by name or by string, and
+    # a string that is a dict key names a field of its output, not a function
     trees = {path.name: ast.parse(path.read_text(encoding="utf-8")) for path in (SRC / "lttkit").glob("*.py")}
     read = set().union(*map(_reads, trees.values()))
     for path in (TESTS.parent / "perfbench").glob("*.py"):
         tree = ast.parse(path.read_text(encoding="utf-8"))
-        read |= _reads(tree) | {n.value for n in ast.walk(tree) if isinstance(n, ast.Constant)}
+        keys = {id(k) for n in ast.walk(tree) if isinstance(n, ast.Dict) for k in n.keys}
+        read |= _reads(tree) | {n.value for n in ast.walk(tree) if isinstance(n, ast.Constant) and id(n) not in keys}
     public = set()
     for module, tree in trees.items():
         for node in tree.body if module != "cli.py" else ():
@@ -160,6 +162,17 @@ def test_every_public_function_is_read():
                 public.add(node.name)
             elif isinstance(node, ast.Assign):
                 public.update(t.id for t in node.targets if isinstance(t, ast.Name))
+            if isinstance(node, ast.ClassDef) and not node.name.startswith("_"):
+                public.update(m.name for m in node.body if isinstance(m, ast.FunctionDef))
     public = {name for name in public if not name.startswith("_")}
     assert set(KEPT) <= public
     assert sorted(public - read - set(KEPT)) == []
+
+
+def test_readme_command_lines_name_the_subcommands():
+    # the `lttkit <command>` lines of the README's Command line block
+    section = (TESTS.parent / "README.md").read_text(encoding="utf-8").split("\n## Command line\n")[1]
+    block = section.split("```")[1]
+    named = set(re.findall(r"^lttkit (\S+)", block, re.MULTILINE))
+    (sub,) = [a for a in _build_parser()._actions if isinstance(a, argparse._SubParsersAction)]
+    assert named == set(sub.choices)

@@ -68,7 +68,7 @@ def test_neg_root_examples():
 def test_root_orders():
     for r in range(1, 65):
         rho = neg_root(r)
-        assert abs(rho**r + 1) < 1e-13
+        assert abs(rho**r + 1) < 1e-14
         for i in range(1, r):
             assert abs(rho**i + 1) > 1e-6
 

@@ -27,6 +27,7 @@ def test_matvec_examples():
     assert ltt_matvec_naive([1, 0, 0], [3, 4, 5]) == [3, 4, 5]
     assert ltt_matvec_naive([1, 1, 1], [1, 1, 1]) == [1, 2, 3]
     assert ltt_matvec_naive([1, 2, 3, 4], [1, -2, 1, 0]) == [1, 0, 0, 0]
+    assert ltt_matvec_naive([1, 1, 0, 0], [1, -1, 0, 0]) == [1, 0, -1, 0]
 
 
 def test_matvec_shape_error():
@@ -222,6 +223,11 @@ def test_kronecker_at_the_digit_bound():
                     assert abs(want[-1]).bit_length() == bound
                     assert _kronecker([p], v) == [want], (n, m, sp, sv)
                     assert _kronecker([v], v) == [ltt_matvec_naive(v, v)], (m, sv)
+    # a squaring at B = 126: 63 * (2**60 - 1)**2 needs all 126 bits
+    edge = [-(2**60 - 1)] * 63
+    assert 2 * _kronecker_digit_bits([edge], edge) == 126 + 2
+    assert abs(ltt_matvec_naive(edge, edge)[-1]).bit_length() == 126
+    assert _kronecker([edge], edge) == [ltt_matvec_naive(edge, edge)]
 
 
 def test_kronecker_two_planes():
