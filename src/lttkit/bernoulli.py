@@ -348,24 +348,24 @@ def bernoulli_numbers(
     method: str = "binom-even",
     x: Fraction = Fraction(1),
     solver: str = "forward",
-    base: int | None = None,
 ) -> list:
     """[B_0, B_2, ..., B_{2(count-1)}] via the chosen system and solver.
 
     ``solver`` is "forward" (quadratic substitution) or "fast" (the
-    nullification solver, on the same system of count or count - 1 rows).
-    ``base`` is 2, 3 or None (3 for the ramanujan family, whose first level
-    is then free, 2 otherwise). The result never depends on x, the
-    scaling cancels exactly.
+    nullification solver, on the same system of count or count - 1 rows, at
+    base 3 for the ramanujan family, whose first level is then free, and
+    base 2 otherwise). A binom-* route has no l.t.T. system, so it takes
+    only "forward". The result never depends on x, the scaling cancels
+    exactly.
     """
-    if base not in (None, 2, 3):
-        raise ValueError(f"base must be 2 or 3, got {base!r}")
     if count < 1:
         raise ValueError("count must be >= 1")
     if method not in METHODS:
         raise ValueError(f"unknown method: {method!r}")
     if solver not in ("forward", "fast"):
         raise ValueError(f"unknown solver: {solver!r}")
+    if solver == "fast" and method.startswith("binom-"):
+        raise ValueError(f"method {method!r} has no l.t.T. system for solver {solver!r}")
     x = Fraction(x)
     if x == 0:
         raise ValueError("scaling parameter x must be nonzero")
@@ -385,8 +385,7 @@ def bernoulli_numbers(
     if solver == "forward":
         y = series.ltt_solve_forward(sys_.a, sys_.rhs())
     else:
-        b = base if base is not None else (3 if family == "ramanujan" else 2)
-        y = ltt_solve_fast(sys_.a, sys_.rhs(), b)
+        y = ltt_solve_fast(sys_.a, sys_.rhs(), 3 if family == "ramanujan" else 2)
     return sys_.bernoulli_from_solution(y)
 
 

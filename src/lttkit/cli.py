@@ -51,9 +51,7 @@ def _emit_vector(values, out_path: str | None) -> None:
 
 
 def cmd_bernoulli(args) -> int:
-    numbers = bernoulli.bernoulli_numbers(
-        args.count, args.method, x=args.x, solver=args.solver, base=args.base
-    )
+    numbers = bernoulli.bernoulli_numbers(args.count, args.method, x=args.x, solver=args.solver)
     if args.format == "plain":
         body = "".join(f"B_{2 * j} = {b}\n" for j, b in enumerate(numbers))
     elif args.format == "csv":
@@ -139,7 +137,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--method", choices=bernoulli.METHODS, default="ltt-ram-I")
     p.add_argument("--x", type=_rational_arg, default=Fraction(1))
     p.add_argument("--solver", choices=("forward", "fast"), default="forward")
-    p.add_argument("--base", type=int, default=None, help="2 or 3")
     p.add_argument("--format", choices=("plain", "csv", "json"), default="plain")
     p.add_argument("--out")
     p.set_defaults(func=cmd_bernoulli)

@@ -760,17 +760,14 @@ def _split_matvec(lo, hi, v, base, ops):
     return list(map(add, w, neg_circulant_matvec(list(map(mul, map(sub, lo, hi), repeat(0.5))), v, base, ops)))
 
 
-def toeplitz_matvec_naive(spec: ToeplitzSpec, v, ops: OpCounter | None = None):
+def toeplitz_matvec_naive(spec: ToeplitzSpec, v):
     """Dense O(n^2) Toeplitz product, any order; exact over rationals."""
     n = spec.n
     if len(v) != n:
         raise ValueError(f"length mismatch: matrix {n}, vector {len(v)}")
     d = spec.diags
     # row i is t_i, t_{i-1}, ..., t_{i-n+1}: d[n-1+i] down to d[i]
-    out = [sum(map(mul, d[i : n + i][::-1], v)) for i in range(n)]
-    if ops is not None:
-        ops.add(n * n)
-    return out
+    return [sum(map(mul, d[i : n + i][::-1], v)) for i in range(n)]
 
 
 def ltt_matvec_fft(a, v, base: int, ops: OpCounter | None = None):

@@ -159,7 +159,7 @@ def _hat_base2(a):
     return [v if i % 2 == 0 else -v for i, v in enumerate(a)]
 
 
-def _hat_base3_exact(a, ops: OpCounter | None):
+def _hat_base3_exact(a, ops: OpCounter):
     """Companion column for base 3 over exact scalars.
 
     hat_i collects the products a_r * a_q over r + q = i with coefficient
@@ -182,12 +182,11 @@ def _hat_base3_exact(a, ops: OpCounter | None):
             s = s + h * h
             mults += 1
         out.append(s)
-    if ops is not None:
-        ops.add(mults)
+    ops.add(mults)
     return out
 
 
-def sparsify_hat(a, base: int, ops: OpCounter | None = None):
+def sparsify_hat(a, base: int):
     """Column hat with (L(a) hat)_i = 0 at every index i with i % base != 0.
 
     The exact level's companion column: a rational column with a[0] == 1,
@@ -202,24 +201,23 @@ def sparsify_hat(a, base: int, ops: OpCounter | None = None):
     if base == 2:
         return _hat_base2(a)
     if base == 3:
-        return _hat_base3_exact(a, ops)
+        return _hat_base3_exact(a, OpCounter())
     raise ValueError(f"no exact companion form is implemented above base 3, got base {base}; use base 2 or 3")
 
 
-def sparsify_step(a, base: int, ops: OpCounter | None = None) -> SparsifyResult:
+def sparsify_step(a, base: int) -> SparsifyResult:
     """Companion column plus the next, base-times-shorter column, by definition.
 
     The reference for one exact level: hat = sparsify_hat(a, base), and
     ``next`` holds entries 0, base, 2*base, ... of the naive product L(a) hat,
-    so it shares no product code with the solver. O(m**2): ops counts the
-    companion column's multiplications and the naive product's m(m+1)/2.
-    next has length len(a) // base, next[0] == 1, and next[i] is an int when
-    a_0..a_{base*i} are.
+    so it shares no product code with the solver. O(m**2). next has length
+    len(a) // base, next[0] == 1, and next[i] is an int when a_0..a_{base*i}
+    are.
     """
     if len(a) % base:
         raise ValueError(f"length {len(a)} not divisible by base {base}")
-    hat = sparsify_hat(a, base, ops)
-    return SparsifyResult(hat=hat, next=series.ltt_matvec_naive(a, hat, ops)[::base])
+    hat = sparsify_hat(a, base)
+    return SparsifyResult(hat=hat, next=series.ltt_matvec_naive(a, hat)[::base])
 
 
 def _already_sparse(col, base):
@@ -369,7 +367,7 @@ def _power_at_least(n, base):
     return p
 
 
-def invert_first_column(a, base: int, ops: OpCounter | None = None):
+def invert_first_column(a, base: int):
     """First column of the inverse of the n x n l.t.T. matrix built on ``a``.
 
     Any length n >= 1. Returns (x, SolveTrace). Exact over rationals (bases
@@ -382,16 +380,20 @@ def invert_first_column(a, base: int, ops: OpCounter | None = None):
     inverse column that leaves the double range raises OverflowError.
 
     A column whose off-multiple entries are already zero skips its
-    nullification level, the shorter column is read off directly.
+    nullification level, the shorter column is read off directly. The
+    trace's mult_count counts the solve's multiplications.
     """
-    x, den, trace = _inverse(a, base, ops)
+    x, den, trace = _inverse(a, base, OpCounter())
     if den is not None:
         x = series._values(x, den, series._int_prefix(a, len(a)))
     return x, trace
 
 
 def _inverse(a, base, ops):
-    """invert_first_column's (x, den, trace): x as integer numerators over den, or complex with den None."""
+    """invert_first_column's (x, den, trace): x as integer numerators over den, or complex with den None.
+
+    ops is a fresh counter, so the trace's mult_count is its total.
+    """
     if base < 2:
         raise ValueError("base must be >= 2")
     n = len(a)
@@ -403,8 +405,6 @@ def _inverse(a, base, ops):
     field = field_of(a)
     if field == RATIONAL and base > 3:
         raise ValueError(f"no exact companion form is implemented above base 3, got base {base}; use complex scalars")
-    counter = ops if ops is not None else OpCounter()
-    start = counter.mults
     if field == COMPLEX:
         _require_finite(a, "column")
     # a0 / a0 can round off 1 in complex arithmetic, so the head is set exactly
@@ -415,7 +415,7 @@ def _inverse(a, base, ops):
 
     records = []  # per level its length and its step (see _level)
     while len(col) > 1:
-        step, nxt, den = _level(col, den, base, counter)
+        step, nxt, den = _level(col, den, base, ops)
         records.append((len(col), step))
         col = nxt
 
@@ -431,10 +431,10 @@ def _inverse(a, base, ops):
             spread[::base] = w
             w = spread
         elif field == COMPLEX:
-            w = _apply_hat_samples(*step, w, base, counter)
+            w = _apply_hat_samples(*step, w, base, ops)
         else:
-            w, wden = series._reduced(_apply_hat(step[0], w, base, counter), step[1] * wden)
-    trace = SolveTrace(base, levels, counter.mults - start, first)
+            w, wden = series._reduced(_apply_hat(step[0], w, base, ops), step[1] * wden)
+    trace = SolveTrace(base, levels, ops.mults, first)
     if field == RATIONAL:
         return (*series._reduced([v * a0.denominator for v in w], wden * a0.numerator), trace)
     x = w[:n] if a0 == 1 else [v / a0 for v in w[:n]]

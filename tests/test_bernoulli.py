@@ -1,10 +1,12 @@
 import math
+from dataclasses import replace
 from fractions import Fraction
 from math import comb, factorial
 
 import pytest
 from oracles import tangent_bernoulli
 
+from lttkit import bernoulli
 from lttkit.bernoulli import (
     FAMILIES,
     METHODS,
@@ -20,7 +22,7 @@ from lttkit.bernoulli import (
     zeta_consistency,
 )
 from lttkit.series import ltt_matvec_naive, ltt_solve_forward
-from lttkit.solver import invert_first_column
+from lttkit.solver import invert_first_column, ltt_solve_fast
 
 GOLDEN = [
     Fraction(1),
@@ -175,8 +177,44 @@ def test_tartaglia_check(n):
 
 
 def test_tartaglia_bounds():
-    with pytest.raises(ValueError):
-        tartaglia_check(17)
+    for n in (0, 17):
+        with pytest.raises(ValueError):
+            tartaglia_check(n)
+
+
+def _with_top_corner(series):
+    def wrong(coeff, m, n):
+        out = series(coeff, m, n)
+        out[0][n - 1] += 1  # above the diagonal for n >= 2
+        return out
+
+    return wrong
+
+
+def _tampered_rows(system, parity):
+    def tampered(p, n):
+        out = system(p, n)
+        if p == parity:
+            out.rows[-1][0] += 1
+        return out
+
+    return tampered
+
+
+@pytest.mark.parametrize(
+    "name, wrong",
+    [
+        ("comb", lambda comb: lambda i, j: comb(i, j) + (i == 2 and j == 1)),
+        ("_nilpotent_series", _with_top_corner),
+        ("binomial_system", lambda system: _tampered_rows(system, "even")),
+        ("binomial_system", lambda system: _tampered_rows(system, "odd")),
+    ],
+    ids=["pascal-lower", "pascal-upper", "even-rows", "odd-rows"],
+)
+def test_tartaglia_check_fails_on_wrong_input(monkeypatch, name, wrong):
+    # each identity the check makes is seen to fail on one wrong input
+    monkeypatch.setattr(bernoulli, name, wrong(getattr(bernoulli, name)))
+    assert tartaglia_check(4) is False
 
 
 # ---------------------------------------------------------------- ramanujan
@@ -242,8 +280,19 @@ def test_convert_rejects_tampered_system():
     )
     with pytest.raises(ConversionError):
         convert_type(broken, "I_to_II")
-    with pytest.raises(ConversionError):
+    with pytest.raises(ConversionError, match="expected a typeII system"):
         convert_type(sys_, "II_to_I")
+    sys2 = gen_system("even", "typeII", 4, Fraction(1))
+    for call, match in (
+        (lambda: convert_type(sys2, "I_to_II"), "expected a typeI system"),
+        (lambda: convert_type(gen_system("even", "typeI", 1, Fraction(1)), "I_to_II"), "need at least two rows"),
+        (lambda: convert_type(replace(sys2, a=[2, *sys2.a[1:]]), "II_to_I"), "leading coefficient of one"),
+        (lambda: convert_type(replace(sys2, q=[q + 1 for q in sys2.q]), "II_to_I"), "row 0 does not transform back"),
+    ):
+        with pytest.raises(ConversionError, match=match):
+            call()
+    with pytest.raises(ValueError, match="unknown direction: 'I_to_III'"):
+        convert_type(sys_, "I_to_III")
 
 
 # ------------------------------------------------------------------ numbers
@@ -259,7 +308,8 @@ def test_golden_values_every_method():
 def test_count_one():
     for method in METHODS:
         assert bernoulli_numbers(1, method) == [1]
-        assert bernoulli_numbers(1, method, solver="fast") == [1]
+        if method.startswith("ltt-"):
+            assert bernoulli_numbers(1, method, solver="fast") == [1]
 
 
 def test_methods_agree_bitwise():
@@ -272,9 +322,10 @@ def test_fast_solver_agrees_with_forward():
     reference = bernoulli_numbers(14)
     for method in ("ltt-even-I", "ltt-odd-II", "ltt-ram-I", "ltt-ram-II"):
         assert bernoulli_numbers(14, method, solver="fast") == reference
-    # explicit base choices, at lengths that are not powers of the base
-    assert bernoulli_numbers(10, "ltt-even-I", solver="fast", base=3) == reference[:10]
-    assert bernoulli_numbers(10, "ltt-ram-II", solver="fast", base=2) == reference[:10]
+    # the other base of each family, at lengths that are not powers of the base
+    for family, kind, n, base in (("even", "typeI", 10, 3), ("ramanujan", "typeII", 9, 2)):
+        sys_ = gen_system(family, kind, n, Fraction(1))
+        assert sys_.bernoulli_from_solution(ltt_solve_fast(sys_.a, sys_.rhs(), base)) == reference[:10]
 
 
 def test_result_independent_of_x():
@@ -311,15 +362,32 @@ def test_invalid_arguments():
         bernoulli_numbers(4, x=Fraction(0))
     with pytest.raises(ValueError):
         bernoulli_numbers(4, solver="iterative")
+    # a binomial route has no l.t.T. system for the fast solver
+    with pytest.raises(ValueError, match="'binom-even'.*'fast'"):
+        bernoulli_numbers(4, "binom-even", solver="fast")
+    for call, match in (
+        (lambda: gen_system("pascal", "typeI", 4, Fraction(1)), "unknown family: 'pascal'"),
+        (lambda: gen_system("even", "typeIII", 4, Fraction(1)), "unknown kind: 'typeIII'"),
+        (lambda: gen_system("even", "typeI", 0, Fraction(1)), "system size must be >= 1"),
+        (lambda: scaling_diag(0, Fraction(1)), "size must be >= 1"),
+        (lambda: binomial_system("even", 0), "size must be >= 1"),
+        (lambda: binomial_system("both", 4), "unknown parity: 'both'"),
+        (lambda: ramanujan_rhs(1), "need n >= 2"),
+        (lambda: zeta_consistency(0, 10), "need j >= 1"),
+        (lambda: zeta_consistency(1, 0), "need at least one term"),
+        (lambda: von_staudt_check(0), "need j >= 1"),
+    ):
+        with pytest.raises(ValueError, match=match):
+            call()
 
 
 def test_invalid_base_raises_before_padding(time_limit):
-    # a base 0 or 1 level would never shrink the column
+    # a base 0 or 1 level would never shrink the column, and a rational column has no exact level above base 3
     time_limit(5)
+    sys_ = gen_system("even", "typeI", 5, Fraction(1))
     for base in (0, 1, 4, 7):
-        for solver in ("fast", "forward"):
-            with pytest.raises(ValueError):
-                bernoulli_numbers(5, "ltt-even-I", solver=solver, base=base)
+        with pytest.raises(ValueError):
+            ltt_solve_fast(sys_.a, sys_.rhs(), base)
 
 
 @pytest.mark.parametrize("parity", ["even", "odd"])

@@ -77,13 +77,17 @@ def test_bernoulli_rejects_zero_denominator_x(capsys):
     assert exc.value.code == 2 and "--x" in err and "Traceback" not in err
 
 
-def test_bernoulli_rejects_bad_base(capsys, time_limit):
-    time_limit(5)
-    for base in ("0", "1", "7"):
-        code, out, err = run(capsys, "bernoulli", "--count", "5", "--solver", "fast", "--base", base)
-        assert code == 2 and out == "" and "base" in err, base
-    code, _, _ = run(capsys, "bernoulli", "--count", "5", "--base", "7")
-    assert code == 2
+def test_bernoulli_base_is_not_an_option(capsys):
+    # each family is solved at its own base: 3 for ramanujan, 2 otherwise
+    with pytest.raises(SystemExit) as exc:
+        main(["bernoulli", "--count", "5", "--solver", "fast", "--base", "3"])
+    assert exc.value.code == 2 and "--base" in capsys.readouterr().err
+
+
+def test_bernoulli_binom_rejects_fast_solver(capsys):
+    for method in ("binom-even", "binom-odd"):
+        code, out, err = run(capsys, "bernoulli", "--count", "4", "--method", method, "--solver", "fast")
+        assert code == 2 and out == "" and method in err and "fast" in err, method
 
 
 def test_bernoulli_out_file(tmp_path, capsys):
@@ -307,6 +311,19 @@ def test_matvec_fft_requires_complex(tmp_path, capsys):
     write_vector(vec, [Fraction(1), Fraction(0)])
     code, _, err = run(capsys, "matvec", "--coeffs", str(coeffs), "--vec", str(vec), "--impl", "embed")
     assert code == 2 and err
+
+
+def test_matvec_toeplitz_shape_errors_exit_two(tmp_path, capsys):
+    diags = tmp_path / "t.txt"
+    vec = tmp_path / "v.txt"
+    for values, vector, message in (
+        ([Fraction(1)] * 4, [Fraction(1)] * 2, "must hold 2n-1 values"),
+        ([Fraction(1)] * 5, [Fraction(1)] * 2, "matrix order 3 != vector length 2"),
+    ):
+        write_vector(diags, values)
+        write_vector(vec, vector)
+        code, out, err = run(capsys, "matvec", "--coeffs", str(diags), "--vec", str(vec), "--type", "toeplitz")
+        assert code == 2 and out == "" and message in err, message
 
 
 def test_matvec_out_file_round_trips(tmp_path, capsys):

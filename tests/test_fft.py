@@ -499,6 +499,8 @@ def test_neg_circulant_and_split_op_counts(n, base, neg_mults, split_mults):
 def test_toeplitz_spec_validation():
     with pytest.raises(ValueError):
         ToeplitzSpec(4, (1, 2, 3))
+    with pytest.raises(ValueError, match="order must be >= 1"):
+        ToeplitzSpec(0, ())
     spec = ToeplitzSpec(2, (5, 1, 7))
     assert [spec.diags[spec.n - 1 + k] for k in (-1, 0, 1)] == [5, 1, 7]
     # an order-2 matrix stores no diagonal t_2 or t_{-2}
@@ -632,6 +634,22 @@ def test_embed_rejects_non_power():
     spec = ToeplitzSpec(6, tuple([0.0] * 11))
     with pytest.raises(ValueError):
         toeplitz_matvec_embed(spec, [0.0] * 6, 2)
+
+
+def test_products_reject_length_mismatch():
+    # every product checks the vector's length before any transform
+    row, v = [1j] * 4, [1j] * 2
+    spec = ToeplitzSpec(4, tuple([1j] * 7))
+    for call, match in (
+        (lambda: circulant_matvec(row, v, 2), "row 4, vector 2"),
+        (lambda: neg_circulant_matvec(row, v, 2), "row 4, vector 2"),
+        (lambda: toeplitz_matvec_embed(spec, v, 2), "matrix 4, vector 2"),
+        (lambda: toeplitz_matvec_split(spec, v, 2), "matrix 4, vector 2"),
+        (lambda: toeplitz_matvec_naive(spec, v), "matrix 4, vector 2"),
+        (lambda: ltt_matvec_fft(row, v, 2), "column 4, vector 2"),
+    ):
+        with pytest.raises(ValueError, match=f"length mismatch: {match}"):
+            call()
 
 
 def test_products_take_the_base_they_run_at():

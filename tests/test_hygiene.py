@@ -52,6 +52,15 @@ KEPT = (
     "von_staudt_check", "write_vector", "zeta_consistency",
 )
 
+# Defaulted parameters that no call site outside the tests passes, kept for a reason:
+# (function, parameter, reason).
+OPTIONS_KEPT = (
+    ("ltt_matvec_kronecker", "ops", "the exact Kronecker product's field-operation count, pinned in test_series"),
+    ("ltt_matvec_naive", "ops", "the naive exact product's field-operation count, pinned in test_series"),
+    ("toeplitz_matvec_embed", "ops", "perfbench passes it to the product it looks up by name"),
+    ("toeplitz_matvec_split", "ops", "perfbench passes it to the product it looks up by name"),
+)
+
 
 def test_import_loads_only_stdlib_modules():
     # pyproject declares no dependencies; peak-RSS figures assume numpy is not loaded
@@ -167,6 +176,62 @@ def test_every_public_function_is_read():
     public = {name for name in public if not name.startswith("_")}
     assert set(KEPT) <= public
     assert sorted(public - read - set(KEPT)) == []
+
+
+def _calls(tree):
+    """(called name, call node, enclosing defs) for every call in tree."""
+    calls = []
+
+    def visit(node, defs):
+        if isinstance(node, ast.FunctionDef):
+            defs = defs + (node,)
+        elif isinstance(node, ast.Call):
+            func = node.func
+            name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+            calls.append((name, node, defs))
+        for child in ast.iter_child_nodes(node):
+            visit(child, defs)
+
+    visit(tree, ())
+    return calls
+
+
+def _public_defs(tree):
+    """(def node, name it is called by, leading parameters a call does not pass) per public def and method."""
+    for node in tree.body:
+        if isinstance(node, ast.FunctionDef) and not node.name.startswith("_"):
+            yield node, node.name, 0
+        elif isinstance(node, ast.ClassDef) and not node.name.startswith("_"):
+            for m in node.body:
+                if isinstance(m, ast.FunctionDef) and (m.name == "__init__" or not m.name.startswith("_")):
+                    yield m, node.name if m.name == "__init__" else m.name, 1  # self or cls
+
+
+def test_every_public_option_is_passed():
+    # a defaulted parameter of a public def, or of a method of a public class, is an option
+    # nobody needs unless a call in src/lttkit outside its own body passes it, by keyword or
+    # by position, or perfbench does, or OPTIONS_KEPT names it; cli.py only forwards user flags
+    paths = [path for path in (SRC / "lttkit").glob("*.py") if path.name != "cli.py"]
+    trees = [ast.parse(path.read_text(encoding="utf-8")) for path in paths]
+    calls = [c for tree in trees for c in _calls(tree)]
+    for path in (TESTS.parent / "perfbench").glob("*.py"):
+        calls += _calls(ast.parse(path.read_text(encoding="utf-8")))
+    unpassed = []
+    for tree in trees:
+        for fn, name, skip in _public_defs(tree):
+            positional = fn.args.posonlyargs + fn.args.args
+            first = len(positional) - len(fn.args.defaults)
+            options = [(arg.arg, i - skip) for i, arg in enumerate(positional) if i >= first]
+            options += [(arg.arg, None) for arg, d in zip(fn.args.kwonlyargs, fn.args.kw_defaults) if d is not None]
+            for param, index in options:
+                if not any(
+                    called == name
+                    and fn not in defs
+                    and (param in {k.arg for k in call.keywords} or index is not None and len(call.args) > index)
+                    for called, call, defs in calls
+                ):
+                    unpassed.append((name, param))
+    assert sorted(unpassed) == sorted((name, param) for name, param, _ in OPTIONS_KEPT)
 
 
 def test_readme_command_lines_name_the_subcommands():

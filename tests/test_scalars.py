@@ -57,6 +57,13 @@ def test_field_of():
     assert field_of([Fraction(1), 3]) == "rational"
     assert field_of([Fraction(1), 0.5]) == "complex"
     assert field_of([1j]) == "complex"
+    with pytest.raises(TypeError, match="unsupported scalar type: str"):
+        field_of([Fraction(1), "2"])
+
+
+def test_parse_unknown_field():
+    with pytest.raises(ValueError, match="unknown scalar field: 'real'"):
+        parse_scalar("1", "real")
 
 
 def test_neg_root_examples():

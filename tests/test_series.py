@@ -438,3 +438,10 @@ def test_vector_file_header_mismatch(tmp_path):
     path.write_text("# n=3 field=rational\n1\n2\n", encoding="ascii")
     with pytest.raises(ValueError):
         read_vector(path)
+    for text, match in (
+        ("# n=0 field=rational\n\n", "empty vector file"),
+        ("# n=2 field=real\n1\n2\n", "bad field in header of .*: 'real'"),
+    ):
+        path.write_text(text, encoding="ascii")
+        with pytest.raises(ValueError, match=match):
+            read_vector(path)

@@ -705,6 +705,9 @@ def bernoulli_512():
         ("even", 1, 2, 2e-15), ("even", 1, 3, 3e-15), ("even", 1, 5, 1.5e-15),
         ("even", 16, 2, 9e-15), ("even", 16, 3, 1.4e-14), ("even", 16, 5, 1.3e-14),
         ("even", 40, 2, 2.3e-9), ("even", 40, 3, 8e-9), ("even", 40, 5, 5e-9),
+        ("odd", 1, 2, 1e-15), ("odd", 1, 3, 2.3e-15), ("odd", 1, 5, 1.1e-15),
+        ("ramanujan", 1, 2, 4e-16), ("ramanujan", 1, 3, 2.7e-15), ("ramanujan", 1, 5, 1.6e-15),
+        ("ramanujan", 16, 2, 1.7e-15), ("ramanujan", 16, 3, 2.7e-15), ("ramanujan", 16, 5, 1.7e-15),
         ("ramanujan", 40, 2, 2e-13), ("ramanujan", 40, 3, 4.6e-13), ("ramanujan", 40, 5, 7e-14),
     ],
 )
