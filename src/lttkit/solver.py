@@ -484,7 +484,9 @@ def ltt_solve_fast(a, f, base: int, with_trace: bool = False):
         # two halves: the transforms overflow only where x does, and x is otherwise unchanged
         pad = [0j] * (_power_at_least(len(a), base) - len(a))
         (inv, ea), (g, eg) = _unit_scaled(inv), _unit_scaled(f)
-        x = fft.ltt_matvec_fft([*inv, *pad], [*g, *pad], base, ops)[: len(a)]
+        if pad:
+            inv, g = [*inv, *pad], [*g, *pad]
+        x = fft.ltt_matvec_fft(inv, g, base, ops)[: len(a)]
         for k in ((ea + eg) // 2, (ea + eg + 1) // 2):
             if k:
                 x = list(map(mul, x, repeat(2.0**k)))

@@ -78,6 +78,28 @@ def test_import_loads_only_stdlib_modules():
     assert loaded - {"lttkit"} <= set(sys.stdlib_module_names), loaded - set(sys.stdlib_module_names)
 
 
+def test_import_builds_no_plan_and_runs_no_transform():
+    # every benchmark workload's set-up time includes this import, and only the
+    # module and class bodies of fft may run in it
+    probe = (
+        "import sys\n"
+        "ran = set()\n"
+        "def profile(frame, event, arg):\n"
+        "    if event == 'call' and frame.f_code.co_filename.endswith('fft.py'):\n"
+        "        ran.add(frame.f_code.co_name)\n"
+        "sys.setprofile(profile)\n"
+        "import lttkit\n"
+        "sys.setprofile(None)\n"
+        "print(len(lttkit.fft._PLAN_CACHE), len(lttkit.fft._BASE2_ROOTS), *sorted(ran))\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    out = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True)
+    plans, roots, *ran = out.stdout.split()
+    assert (plans, roots) == ("0", "0")
+    assert "<module>" in ran
+    assert set(ran) <= {"<module>", "DftPlan", "ToeplitzSpec"}, ran
+
+
 def test_oracles_import_nothing_from_lttkit():
     tree = ast.parse((TESTS / "oracles.py").read_text(encoding="utf-8"))
     imported = set()

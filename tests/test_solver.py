@@ -432,10 +432,11 @@ def test_invert_complex_large_well_scaled():
 
 @pytest.mark.parametrize("base, n, bound", [(2, 4096, 450), (3, 2187, 400)])
 def test_complex_solve_peak_memory_per_unknown(base, n, bound, traced_peak):
-    # traced bytes per unknown of one solve, plans built first: about 357 at
+    # traced bytes per unknown of one solve, plans built first: about 301 at
     # base 2 and 365 at base 3 while each buffer dies at its last use and
-    # base-3 transforms run in place (397 and 544 with slice butterflies at
-    # base 3 and the circulant products holding their first rows)
+    # base-3 transforms run in place (357 at base 2 while the (-1)-circulant
+    # held its scaled row; 397 and 544 with slice butterflies at base 3 and
+    # the circulant products holding their first rows)
     rng = random.Random(137)
     a = [1 + 0j] + [complex(rng.random(), rng.random()) * 2.0**-k for k in range(1, n)]
     f = [complex(rng.uniform(-1, 1), rng.uniform(-1, 1)) for _ in range(n)]
