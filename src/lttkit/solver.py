@@ -61,8 +61,9 @@ transforms keep only the m/base and m outputs that are read. At base >= 3
 their last stage computes one output block of base; at base 2 the kept
 outputs are a slice of the full ones. No complex companion column is
 written out during a solve. The assembly consumes the kept samples: each
-step overwrites H with its products, and the level's record is dropped
-once the step has run.
+step overwrites H with its products and hands them to its inverse
+transform, emptying the level's record, which is dropped once the step
+has run.
 
 One function, _level, runs a level of the first sweep in either field: the
 skip, the Graeffe step or the exact level. SolveTrace keeps the normalized
@@ -144,7 +145,7 @@ class SolveTrace:
             hats.append(
                 [vals[0]] + [0j if cx else Fraction(0)] * (len(vals) - 1) if step is None  # e_1
                 else _hat_base2(vals) if b == 2
-                else _apply_hat_samples(*step, [1 + 0j], b, ops) if cx
+                else _apply_hat_samples(step, [1 + 0j], b, ops) if cx
                 else series._values(*step, k)
             )
             vals = col if cx else vals[::b] if step is None else series._values(col, den, -(-k // b))
@@ -272,7 +273,7 @@ def _rescaled(values, r, ops):
 
 
 def _graeffe_level(col, base, ops):
-    """One complex nullification level in the transform domain: ((H, s), next).
+    """One complex nullification level in the transform domain: ([H, s], next).
 
     With m = len(col), N = base*m and A the length-N transform of the
     column a(s z), s from _level_radius, passed unpadded, the rotation
@@ -287,38 +288,43 @@ def _graeffe_level(col, base, ops):
     m = len(col)
     n = base * m
     s = _level_radius(col, base)
-    col = _rescaled(col, s, ops)
-    samples = fft.dft(col, fft.plan_for(n, base), ops)
+    samples = fft.dft(_rescaled(col, s, ops), fft.plan_for(n, base), ops)
     h = samples[m:] + samples[:m]
     for i in range(2, base):
         k = i * m
         h = list(map(mul, h, samples[k:] + samples[:k]))
     ops.add((base - 2) * n)
     if m == base:
-        return (h, s), [1 + 0j]
-    g = fft.idft(list(map(mul, samples[:m], h)), fft.plan_for(m, base), ops, m // base)
+        return [h, s], [1 + 0j]
+    head = [samples[:m]]
+    del samples  # H holds what of the samples the assembly reads
+    # the products overwrite the head, popped into idft, which holds them alone
+    g = fft.idft(fft._map_into(mul, head.pop(), h), fft.plan_for(m, base), ops, m // base)
     ops.add(m)
     nxt = _rescaled(g, (1 / s) ** base, ops)
     nxt[0] = 1 + 0j
-    return (h, s), nxt
+    return [h, s], nxt
 
 
-def _apply_hat_samples(h, s, w, base, ops):
-    """Coefficients 0..m-1 of hat(z) * w(z**base), hat sampled by h on |z| = s.
+def _apply_hat_samples(step, w, base, ops):
+    """Coefficients 0..m-1 of hat(z) * w(z**base), hat sampled by h on |z| = s; step is [h, s].
 
     h has length N = base*m and w length ceil(m/base). w((s z)**base) at the
     N-th roots of unity is the length-m transform of w(s**base z) tiled base
     times; the product has degree below N, so the cyclic inverse transform
     does not alias, and only its first m outputs are computed. hat[0] is 1,
     so coefficient 0 is w[0] exactly; with w = [1] the result is the
-    companion column itself. h is overwritten with the products.
+    companion column itself. The samples are read for the last time here: h
+    is overwritten with the products and popped from step into the inverse
+    transform, which then holds it alone.
     """
+    h, s = step
     n = len(h)
     m = n // base
     ops.add(n)
-    # the samples are read for the last time here: the products overwrite them in place
-    h[:] = map(mul, h, fft.dft(_rescaled(w, s**base, ops), fft.plan_for(m, base), ops) * base)
-    out = fft.idft(h, fft.plan_for(n, base), ops, m)
+    fft._map_into(mul, h, fft.dft(_rescaled(w, s**base, ops), fft.plan_for(m, base), ops) * base)
+    del h
+    out = fft.idft(step.pop(0), fft.plan_for(n, base), ops, m)
     out = _rescaled(out, 1 / s, ops)
     out[0] = w[0]
     return out
@@ -330,7 +336,7 @@ def _level(col, den, base, ops):
     The step is None for a column already zero off the multiples of the
     base, whose level is skipped: its companion column is e_1 and the next
     column is col[::base]. A complex column (den None) takes one
-    transform-domain Graeffe step, and the step is its samples (H, s). A
+    transform-domain Graeffe step, and the step is its samples [H, s]. A
     rational column is integer numerators over den; its step is the reduced
     companion column (numerators, denominator), truncated to len(col), and
     the next column is entries 0, base, 2*base, ... of L(col) hat, reduced,
@@ -431,7 +437,7 @@ def _inverse(a, base, ops):
             spread[::base] = w
             w = spread
         elif field == COMPLEX:
-            w = _apply_hat_samples(*step, w, base, ops)
+            w = _apply_hat_samples(step, w, base, ops)
         else:
             w, wden = series._reduced(_apply_hat(step[0], w, base, ops), step[1] * wden)
     trace = SolveTrace(base, levels, ops.mults, first)

@@ -1,7 +1,9 @@
 import cmath
 import random
 import tracemalloc
+from itertools import repeat
 from math import log
+from operator import add, is_, mul, sub
 
 import pytest
 
@@ -18,10 +20,12 @@ from oracles import (
 
 from lttkit.fft import (
     _BLOCK,
+    _CHUNK,
     DftPlan,
     ToeplitzSpec,
     _digit_reversal,
     _embedding_row,
+    _map_into,
     circulant_matvec,
     dft,
     idft,
@@ -663,12 +667,14 @@ def test_ltt_matvec_fft_equals_the_split_of_its_spec_bit_for_bit():
         assert ops.mults == split_ops.mults, (base, len(a))
 
 
-@pytest.mark.parametrize("product, bound", [("split", 280), ("embed", 300), ("ltt", 280)])
+@pytest.mark.parametrize("product, bound", [("split", 167), ("embed", 219), ("ltt", 167)])
 def test_product_peak_memory_per_unknown(product, bound, traced_peak):
     # traced bytes per unknown of one base-2 product at n = 4096, plans built
-    # first: about 245, 241 and 245 while no operand outlives its last use
-    # (285, 241 and 285 while the (-1)-circulant held its scaled row through
-    # the circulant product, 325 while the circulant products held their first rows)
+    # first: about 152, 199 and 152, bounds 10% above, while every transform
+    # owns its input and pointwise passes run in place (245, 241 and 245 while
+    # the callers held their transforms' inputs and idft scaled into a new list;
+    # 285 while the (-1)-circulant held its scaled row through the circulant
+    # product, 325 while the circulant products held their first rows)
     n = 4096
     rng = random.Random(71)
     spec = ToeplitzSpec(n, tuple(_rand_vec(rng, 2 * n - 1)))
@@ -741,3 +747,48 @@ def test_products_take_the_base_they_run_at():
         ):
             with pytest.raises(ValueError, match="base must be >= 2"):
                 call()
+
+
+def test_map_into_equals_list_map_bit_for_bit():
+    # the in-place pass writes the values list(map(...)) builds, at lengths around
+    # the chunk edges, for a list operand and for a repeated complex or float one
+    rng = random.Random(73)
+    for n in (0, 1, _CHUNK - 1, _CHUNK, _CHUNK + 1, 3 * _CHUNK + 5):
+        a, b = _rand_vec(rng, n), _rand_vec(rng, n)
+        c = complex(rng.uniform(-1, 1), rng.uniform(-1, 1))
+        right = list(b)
+        for op in (mul, add, sub):
+            for ys in (lambda: b, lambda: repeat(c), lambda: repeat(1.0 / 3)):
+                want = list(map(op, a, ys()))
+                x = list(a)
+                assert _map_into(op, x, ys()) is x
+                assert _bits(x) == _bits(want), (n, op)
+        assert len(b) == n and all(map(is_, b, right))  # the right operand is only read
+
+
+@pytest.mark.parametrize("base, n", [(2, 512), (3, 729), (5, 625)])
+def test_public_functions_leave_their_inputs_unchanged(base, n):
+    # internal calls hand their temporaries to the transforms, which drop them once
+    # loaded; a caller's list keeps every entry, object for object, and its length
+    rng = random.Random(n)
+    plan = plan_for(n, base)
+    z, a, v = _rand_vec(rng, n), _rand_vec(rng, n), _rand_vec(rng, n)
+    short = z[: n // base]
+    spec = ToeplitzSpec(n, tuple(_rand_vec(rng, 2 * n - 1)))
+    for label, call, args in (
+        ("dft", lambda: dft(z, plan, OpCounter()), (z,)),
+        ("dft short", lambda: dft(short, plan), (short,)),
+        ("dft kept", lambda: dft(z, plan, keep=n // base), (z,)),
+        ("idft", lambda: idft(z, plan, OpCounter()), (z,)),
+        ("idft short", lambda: idft(short, plan), (short,)),
+        ("idft kept", lambda: idft(z, plan, keep=n // base), (z,)),
+        ("circulant", lambda: circulant_matvec(a, v, base, OpCounter()), (a, v)),
+        ("neg circulant", lambda: neg_circulant_matvec(a, v, base, OpCounter()), (a, v)),
+        ("embed", lambda: toeplitz_matvec_embed(spec, v, base, OpCounter()), (v,)),
+        ("split", lambda: toeplitz_matvec_split(spec, v, base, OpCounter()), (v,)),
+        ("ltt", lambda: ltt_matvec_fft(a, v, base, OpCounter()), (a, v)),
+    ):
+        before = [list(arg) for arg in args]
+        call()
+        for arg, was in zip(args, before):
+            assert len(arg) == len(was) and all(map(is_, arg, was)), label
