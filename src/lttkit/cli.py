@@ -72,18 +72,12 @@ def cmd_solve(args) -> int:
     if args.trace and args.solver != "fast":
         raise ValueError("--trace needs --solver fast")
     coeffs, rhs = _load_vectors((args.coeffs, args.rhs), args.field)
-    if len(coeffs) != len(rhs):
-        raise ValueError(f"coefficient length {len(coeffs)} != rhs length {len(rhs)}")
-
-    trace = None
     if args.solver == "forward":
         x = series.ltt_solve_forward(coeffs, rhs)
-    elif args.trace:
-        x, trace = solver.ltt_solve_fast(coeffs, rhs, args.base, with_trace=True)
     else:
-        x = solver.ltt_solve_fast(coeffs, rhs, args.base)
+        x, trace = solver.ltt_solve_fast(coeffs, rhs, args.base, with_trace=True)
     _emit_vector(x, args.out)
-    if trace is not None:
+    if args.trace:
         sys.stderr.write(f"# trace {trace.report()}\n")
     return 0
 
@@ -99,8 +93,6 @@ def cmd_matvec(args) -> int:
         if len(coeffs) % 2 == 0:
             raise ValueError("a toeplitz diagonal file must hold 2n-1 values")
         spec = fft.ToeplitzSpec((len(coeffs) + 1) // 2, tuple(coeffs))
-    if len(vec) != spec.n:
-        raise ValueError(f"matrix order {spec.n} != vector length {len(vec)}")
 
     if args.impl == "naive":
         out = fft.toeplitz_matvec_naive(spec, vec)

@@ -130,7 +130,7 @@ class SolveTrace:
     base: int
     levels: int
     mult_count: int
-    column: list  # the first level's column: normalized, and zero-padded to a power if complex
+    column: list  # the first level's column: normalized, and converted and zero-padded to a power if complex
 
     @cached_property
     def hat_columns(self) -> list:
@@ -389,16 +389,18 @@ def invert_first_column(a, base: int):
     nullification level, the shorter column is read off directly. The
     trace's mult_count counts the solve's multiplications.
     """
-    x, den, trace = _inverse(a, base, OpCounter())
+    x, den, trace = _inverse(a, base, field_of(a), OpCounter())
     if den is not None:
         x = series._values(x, den, series._int_prefix(a, len(a)))
     return x, trace
 
 
-def _inverse(a, base, ops):
+def _inverse(a, base, field, ops):
     """invert_first_column's (x, den, trace): x as integer numerators over den, or complex with den None.
 
-    ops is a fresh counter, so the trace's mult_count is its total.
+    field is a's, decided by the caller; the trace's column is the only copy
+    of a the solve makes. ops is a fresh counter, so the trace's mult_count
+    is its total.
     """
     if base < 2:
         raise ValueError("base must be >= 2")
@@ -408,16 +410,18 @@ def _inverse(a, base, ops):
     a0 = a[0]
     if a0 == 0:
         raise SingularMatrixError("leading coefficient is zero")
-    field = field_of(a)
-    if field == RATIONAL and base > 3:
-        raise ValueError(f"no exact companion form is implemented above base 3, got base {base}; use complex scalars")
-    if field == COMPLEX:
+    if field == RATIONAL:
+        if base > 3:
+            raise ValueError(f"no exact companion form is implemented above base 3, got base {base}; use complex scalars")
+        zero, a0 = 0, Fraction(a0)
+        first = list(a) if a0 == 1 else [Fraction(1)] + [v / a0 for v in a[1:]]
+        col, den = series._numerators(first)
+    else:
         _require_finite(a, "column")
-    # a0 / a0 can round off 1 in complex arithmetic, so the head is set exactly
-    one, zero, a0 = (Fraction(1), 0, Fraction(a0)) if field == RATIONAL else (1 + 0j, 0j, a0)  # exact for int a0
-    head = list(a) if a0 == 1 else [one] + [v / a0 for v in a[1:]]
-    first = head if field == RATIONAL else head + [0j] * (_power_at_least(n, base) - n)
-    col, den = series._numerators(head) if field == RATIONAL else (first, None)
+        # a0 / a0 can round off 1 in complex arithmetic, so the head is set exactly
+        tail = map(complex, a[1:]) if a0 == 1 else (complex(v) / a0 for v in a[1:])
+        first = [1 + 0j, *tail, *repeat(0j, _power_at_least(n, base) - n)]
+        zero, col, den = 0j, first, None
 
     records = []  # per level its length and its step (see _level)
     while len(col) > 1:
@@ -464,27 +468,27 @@ def ltt_solve_fast(a, f, base: int, with_trace: bool = False):
     """Solve L(a) x = f: invert the first column, then one l.t.T. product.
 
     A complex or float entry in either operand makes the whole solve
-    complex. The product is fft.ltt_matvec_fft for a complex column, on
-    both operands zero-padded to the next power of the base, and as
-    _apply_hat for a rational one: one Kronecker-substitution product, or
-    one per residue class when the inverse column is zero off the multiples
-    of the base, typed as ltt_solve_forward. With ``with_trace`` the
-    returned pair carries a SolveTrace whose count includes the final
-    product. In a complex solve, an entry of the column or the right-hand
-    side that is NaN, infinite or beyond the double range raises ValueError,
-    and an x that leaves the double range raises OverflowError. The product
-    runs on operands scaled by powers of two, so its transforms overflow
-    only where x does.
+    complex, and the inversion converts the column. The product is
+    fft.ltt_matvec_fft for a complex column, on both operands zero-padded to
+    the next power of the base, and as _apply_hat for a rational one: one
+    Kronecker-substitution product, or one per residue class when the
+    inverse column is zero off the multiples of the base, typed as
+    ltt_solve_forward. With ``with_trace`` the returned pair carries a
+    SolveTrace whose count includes the final product. In a complex solve,
+    an entry of the column, or else of the right-hand side, that is NaN,
+    infinite or beyond the double range raises ValueError, and an x that
+    leaves the double range raises OverflowError. The product runs on
+    operands scaled by powers of two, so its transforms overflow only where
+    x does.
     """
     if len(f) != len(a):
         raise ValueError(f"length mismatch: column {len(a)}, rhs {len(f)}")
     cx = COMPLEX in (field_of(a), field_of(f))
     if cx:
-        _require_finite(a, "column")  # before complex(v) below, which would overflow
+        _require_finite(a, "column")  # a bad column is reported before a bad rhs
         _require_finite(f, "rhs")
-        a = [complex(v) for v in a]
     ops = OpCounter()
-    inv, iden, trace = _inverse(a, base, ops)
+    inv, iden, trace = _inverse(a, base, COMPLEX if cx else RATIONAL, ops)
     if cx:
         # each operand scaled by a power of two to a largest modulus near 1 and x scaled back, in
         # two halves: the transforms overflow only where x does, and x is otherwise unchanged

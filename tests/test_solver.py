@@ -376,6 +376,9 @@ def test_hat_columns_keep_the_solve_field():
     assert all(type(v) is complex for v in hats[1])
     assert max_rel_err(hats[1], rotation_hat([1, 3, 0, 0], 4)) < 1e-12
     assert max_rel_err(x, ltt_solve_forward([complex(v) for v in a], [1 + 0j] + [0j] * 15)) < 1e-12
+    # an int head and a float and complex tail normalize into one complex column
+    _, trace = invert_first_column([2, 0.5, 0.25j, -0.125, 1.0], 2)
+    assert all(type(v) is complex for v in trace.column)
 
 
 @pytest.mark.parametrize("base", range(2, 8))
@@ -431,15 +434,16 @@ def test_invert_complex_large_well_scaled():
         assert max_rel_err(x, ref) < 1e-10
 
 
-@pytest.mark.parametrize("base, n, bound", [(2, 4096, 229), (3, 2187, 345)])
+@pytest.mark.parametrize("base, n, bound", [(2, 4096, 220), (3, 2187, 327)])
 def test_complex_solve_peak_memory_per_unknown(base, n, bound, traced_peak):
-    # traced bytes per unknown of one solve, plans built first: about 208 at
-    # base 2 and 313 at base 3, bounds 10% above, while every transform owns
-    # its input and pointwise passes and base-2 slice stages run in place (237
-    # at base 2 with slice stages over all of x; 301 and 365 while callers
-    # held their transforms' inputs; 357 at base 2 while the (-1)-circulant
-    # held its scaled row; 397 and 544 with slice butterflies at base 3 and
-    # the circulant products holding their first rows)
+    # traced bytes per unknown of one solve, plans built first: about 200 at
+    # base 2 and 297 at base 3, bounds 10% above, while the solve copies its
+    # column once, every transform owns its input and pointwise passes and
+    # base-2 slice stages run in place (208 and 313 with two more copies of
+    # the column; 237 at base 2 with slice stages over all of x; 301 and 365
+    # while callers held their transforms' inputs; 357 at base 2 while the
+    # (-1)-circulant held its scaled row; 397 and 544 with slice butterflies
+    # at base 3 and the circulant products holding their first rows)
     rng = random.Random(137)
     a = [1 + 0j] + [complex(rng.random(), rng.random()) * 2.0**-k for k in range(1, n)]
     f = [complex(rng.uniform(-1, 1), rng.uniform(-1, 1)) for _ in range(n)]
@@ -705,6 +709,17 @@ def test_solve_fast_complex_rhs_makes_solve_complex():
             got = ltt_solve_fast(a, f, base)
             assert all(type(v) is complex for v in got)
             assert max_rel_err(got, ref) < 1e-12, (f, base)
+    # an int or Fraction column solves bit for bit as the column converted by the caller
+    rng = random.Random(149)
+    for base in (2, 3, 5):
+        for n in (base**3, base**3 + 2):
+            ints = [3] + [rng.randint(-2, 2) for _ in range(5)] + [0] * (n - 6)
+            fracs = [Fraction(1)] + [Fraction(rng.randint(-9, 9), rng.randint(1, 9) * 2**k) for k in range(1, n)]
+            for a, f in ((ints, _cx_column(rng, n)), (fracs, [rng.uniform(-1, 1) for _ in range(n)])):
+                x, trace = ltt_solve_fast(a, f, base, with_trace=True)
+                ref = ltt_solve_fast([complex(v) for v in a], f, base)
+                assert [(v.real.hex(), v.imag.hex()) for v in x] == [(v.real.hex(), v.imag.hex()) for v in ref]
+                assert all(type(v) is complex for v in trace.column), (base, n)
 
 
 def test_solve_fast_complex_full_pipeline():
