@@ -408,8 +408,6 @@ def zeta_consistency(j: int, terms: int) -> float:
 
 
 def _primes_upto(m: int) -> list:
-    if m < 2:
-        return []
     sieve = bytearray([1]) * (m + 1)
     sieve[0] = sieve[1] = 0
     for p in range(2, int(m**0.5) + 1):

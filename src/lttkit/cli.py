@@ -10,7 +10,6 @@ import argparse
 import cmath
 import json
 import sys
-from fractions import Fraction
 
 from . import bernoulli, fft, scalars, series, solver
 from .series import SingularMatrixError
@@ -22,21 +21,6 @@ def _emit(text: str, out_path: str | None) -> None:
             fh.write(text)
     else:
         sys.stdout.write(text)
-
-
-def _load_vectors(paths, field: str | None):
-    """Read vector files as the value lists of operands of one field.
-
-    Any complex file, or ``field`` complex, makes every operand complex. A
-    complex file cannot be read as rational.
-    """
-    read = [series.read_vector(path) for path in paths]
-    complex_paths = [path for path, (_, file_field) in zip(paths, read) if file_field == scalars.COMPLEX]
-    if field == scalars.RATIONAL and complex_paths:
-        raise ValueError(f"{complex_paths[0]} holds complex values, cannot reinterpret as rational")
-    if field == scalars.COMPLEX or complex_paths:
-        return [[complex(v) for v in values] for values, _ in read]
-    return [values for values, _ in read]
 
 
 def _emit_vector(values, out_path: str | None) -> None:
@@ -51,7 +35,7 @@ def _emit_vector(values, out_path: str | None) -> None:
 
 
 def cmd_bernoulli(args) -> int:
-    numbers = bernoulli.bernoulli_numbers(args.count, args.method, x=args.x, solver=args.solver)
+    numbers = bernoulli.bernoulli_numbers(args.count, args.method, solver=args.solver)
     if args.format == "plain":
         body = "".join(f"B_{2 * j} = {b}\n" for j, b in enumerate(numbers))
     elif args.format == "csv":
@@ -71,7 +55,7 @@ def cmd_bernoulli(args) -> int:
 def cmd_solve(args) -> int:
     if args.trace and args.solver != "fast":
         raise ValueError("--trace needs --solver fast")
-    coeffs, rhs = _load_vectors((args.coeffs, args.rhs), args.field)
+    (coeffs, _), (rhs, _) = series.read_vector(args.coeffs), series.read_vector(args.rhs)
     if args.solver == "forward":
         x = series.ltt_solve_forward(coeffs, rhs)
     else:
@@ -86,7 +70,7 @@ def cmd_solve(args) -> int:
 
 
 def cmd_matvec(args) -> int:
-    coeffs, vec = _load_vectors((args.coeffs, args.vec), args.field)
+    (coeffs, _), (vec, _) = series.read_vector(args.coeffs), series.read_vector(args.vec)
     if args.type == "ltt":
         spec = fft.ToeplitzSpec.from_lower_column(coeffs)
     else:
@@ -96,8 +80,6 @@ def cmd_matvec(args) -> int:
 
     if args.impl == "naive":
         out = fft.toeplitz_matvec_naive(spec, vec)
-    elif scalars.field_of(vec) != scalars.COMPLEX:
-        raise ValueError(f"impl {args.impl!r} works on complex vectors only")
     elif args.impl == "embed":
         out = fft.toeplitz_matvec_embed(spec, vec, args.base)
     else:
@@ -107,14 +89,6 @@ def cmd_matvec(args) -> int:
 
 
 # --------------------------------------------------------------------- main
-
-
-def _rational_arg(text: str) -> Fraction:
-    # argparse reports only ValueError, TypeError and ArgumentTypeError as usage errors
-    try:
-        return scalars.parse_scalar(text, scalars.RATIONAL)
-    except ZeroDivisionError as exc:
-        raise argparse.ArgumentTypeError(f"zero denominator in {text!r}") from exc
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -127,7 +101,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("bernoulli", help="print a table of Bernoulli numbers")
     p.add_argument("--count", type=int, required=True)
     p.add_argument("--method", choices=bernoulli.METHODS, default="ltt-ram-I")
-    p.add_argument("--x", type=_rational_arg, default=Fraction(1))
     p.add_argument("--solver", choices=("forward", "fast"), default="forward")
     p.add_argument("--format", choices=("plain", "csv", "json"), default="plain")
     p.add_argument("--out")
@@ -137,7 +110,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--coeffs", required=True)
     p.add_argument("--rhs", required=True)
     p.add_argument("--base", type=int, default=2)
-    p.add_argument("--field", choices=(scalars.RATIONAL, scalars.COMPLEX), default=None)
     p.add_argument("--solver", choices=("forward", "fast"), default="forward")
     p.add_argument("--trace", action="store_true", help="print the solve trace to stderr; needs --solver fast")
     p.add_argument("--out")
@@ -149,7 +121,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--type", choices=("ltt", "toeplitz"), default="ltt")
     p.add_argument("--impl", choices=("naive", "embed", "split"), default="naive")
     p.add_argument("--base", type=int, default=2)
-    p.add_argument("--field", choices=(scalars.RATIONAL, scalars.COMPLEX), default=None)
     p.add_argument("--out")
     p.set_defaults(func=cmd_matvec)
 

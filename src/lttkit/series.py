@@ -264,9 +264,11 @@ def ltt_solve_forward(a, f):
     arithmetic. Entry i is an int when the head is 1 and f_0..f_i and
     a_1..a_i are ints, otherwise a Fraction, as in per-term Fraction
     arithmetic. A float or complex entry in either operand makes the solve
-    complex, by the plain per-term loop; then an entry of either operand
-    that is NaN, infinite or beyond the double range raises ValueError, and
-    a solution that leaves the double range raises OverflowError.
+    complex: both operands are converted with complex() once and solved by
+    the plain per-term loop, so every entry of x is complex. Then an entry
+    of either operand that is NaN, infinite or beyond the double range
+    raises ValueError, and a solution that leaves the double range raises
+    OverflowError.
     """
     n = len(a)
     if len(f) != n:
@@ -281,9 +283,7 @@ def ltt_solve_forward(a, f):
     if a0 == 0:
         raise SingularMatrixError("leading coefficient is zero")
     if complex_solve:
-        if isinstance(a0, int):
-            a0 = Fraction(a0)  # int / int would give floats
-        ar = a[::-1]
+        ar, f, a0 = [complex(v) for v in reversed(a)], [complex(v) for v in f], complex(a0)
         x = []
         for i in range(n):
             s = f[i] - sum(map(mul, ar[n - 1 - i : n - 1], x))

@@ -5,8 +5,10 @@ import pytest
 
 from lttkit import bernoulli
 from lttkit.cli import main
+from lttkit.fft import ToeplitzSpec, toeplitz_matvec_embed, toeplitz_matvec_split
 from lttkit.scalars import parse_scalar
-from lttkit.series import ltt_solve_forward, read_vector, write_vector
+from lttkit.series import format_vector, ltt_solve_forward, read_vector, write_vector
+from lttkit.solver import ltt_solve_fast
 
 
 def run(capsys, *argv):
@@ -59,8 +61,8 @@ def test_bernoulli_json_round_trips(capsys):
 
 
 def test_bernoulli_deterministic_output(capsys):
-    _, first, _ = run(capsys, "bernoulli", "--count", "20", "--solver", "fast", "--x", "7/3")
-    _, second, _ = run(capsys, "bernoulli", "--count", "20", "--solver", "fast", "--x", "7/3")
+    _, first, _ = run(capsys, "bernoulli", "--count", "20", "--solver", "fast")
+    _, second, _ = run(capsys, "bernoulli", "--count", "20", "--solver", "fast")
     assert first == second
 
 
@@ -70,18 +72,23 @@ def test_bernoulli_rejects_bad_method(capsys):
     assert exc.value.code == 2
 
 
-def test_bernoulli_rejects_zero_denominator_x(capsys):
+@pytest.mark.parametrize(
+    "argv, flag",
+    [
+        # each family is solved at its own base: 3 for ramanujan, 2 otherwise
+        (["bernoulli", "--count", "5", "--solver", "fast", "--base", "3"], "--base"),
+        # every nonzero scaling gives the same numbers, and 1 gives them fastest
+        (["bernoulli", "--count", "5", "--x", "7/3"], "--x"),
+        # the library takes the field from the values read from the files
+        (["solve", "--coeffs", "a.txt", "--rhs", "f.txt", "--field", "complex"], "--field"),
+        (["matvec", "--coeffs", "a.txt", "--vec", "v.txt", "--field", "complex"], "--field"),
+    ],
+    ids=["bernoulli-base", "bernoulli-x", "solve-field", "matvec-field"],
+)
+def test_removed_flag_is_not_an_option(capsys, argv, flag):
     with pytest.raises(SystemExit) as exc:
-        main(["bernoulli", "--count", "3", "--x", "1/0"])
-    err = capsys.readouterr().err
-    assert exc.value.code == 2 and "--x" in err and "Traceback" not in err
-
-
-def test_bernoulli_base_is_not_an_option(capsys):
-    # each family is solved at its own base: 3 for ramanujan, 2 otherwise
-    with pytest.raises(SystemExit) as exc:
-        main(["bernoulli", "--count", "5", "--solver", "fast", "--base", "3"])
-    assert exc.value.code == 2 and "--base" in capsys.readouterr().err
+        main(argv)
+    assert exc.value.code == 2 and flag in capsys.readouterr().err
 
 
 def test_bernoulli_binom_rejects_fast_solver(capsys):
@@ -231,36 +238,22 @@ def test_solve_complex_fast_fft(tmp_path, capsys):
     assert abs(values[1] + (0.5 + 0.25j)) < 1e-12
 
 
-def test_solve_field_complex_on_rational_files(tmp_path, capsys):
+def test_solve_mixed_field_files(tmp_path, capsys):
+    # a complex file and a rational one: the library solves the values as read, in the complex field
     coeffs = tmp_path / "a.txt"
     rhs = tmp_path / "f.txt"
-    a = [Fraction(v, 4) for v in (4, 2, -1, 8, 0, 1, -4, 3)]
-    f = [Fraction(v, 2) for v in (2, 0, 4, -1, 0, 0, 2, 10)]
-    write_vector(coeffs, a)
-    write_vector(rhs, f)
-    code, out, _ = run(
-        capsys,
-        "solve", "--coeffs", str(coeffs), "--rhs", str(rhs),
-        "--solver", "fast", "--field", "complex", "--base", "2",
-    )
-    assert code == 0
-    lines = out.splitlines()
-    assert lines[0] == "# n=8 field=complex"
-    values = [parse_scalar(ln, "complex") for ln in lines[1:]]
-    ref = ltt_solve_forward(a, f)
-    assert max(abs(p - complex(q)) for p, q in zip(values, ref)) < 1e-9 * max(abs(q) for q in ref)
-
-
-def test_field_rational_on_complex_file_exits_two(tmp_path, capsys):
-    coeffs = tmp_path / "a.txt"
-    rhs = tmp_path / "f.txt"
-    write_vector(coeffs, [1 + 0j, 0.5 + 0.25j])
-    write_vector(rhs, [Fraction(1), Fraction(0)])
-    for command, operand in (("solve", "--rhs"), ("matvec", "--vec")):
-        code, out, err = run(
-            capsys, command, "--coeffs", str(coeffs), operand, str(rhs), "--field", "rational"
-        )
-        assert code == 2 and out == "" and str(coeffs) in err, command
+    rational_a = [Fraction(v, 4) for v in (4, 2, -1, 8, 0, 1, -4, 3)]
+    rational_f = [Fraction(v, 2) for v in (2, 0, 4, -1, 0, 0, 2, 10)]
+    complex_a = [1 + 0j, 0.5 + 0.25j, -0.25 + 0j, 0.125 - 0.125j, 0j, 1j, 0.5 + 0j, -1 + 0j]
+    complex_f = [0.5j, 1 + 0j, 0j, 2 - 1j, 0j, 0j, 1 + 1j, 3 + 0j]
+    for a, f in ((complex_a, rational_f), (rational_a, complex_f)):
+        write_vector(coeffs, a)
+        write_vector(rhs, f)
+        a, f = read_vector(coeffs)[0], read_vector(rhs)[0]
+        for solver, want in (("forward", ltt_solve_forward(a, f)), ("fast", ltt_solve_fast(a, f, 2))):
+            code, out, err = run(capsys, "solve", "--coeffs", str(coeffs), "--rhs", str(rhs), "--solver", solver)
+            assert (code, out, err) == (0, format_vector(want), ""), solver
+            assert out.startswith("# n=8 field=complex\n"), solver
 
 
 def test_matvec_ltt_naive(tmp_path, capsys):
@@ -306,13 +299,18 @@ def test_matvec_ltt_embed_matches_naive(tmp_path, capsys):
     assert max(abs(p - q) for p, q in zip(results["naive"], results["embed"])) < 1e-12
 
 
-def test_matvec_fft_requires_complex(tmp_path, capsys):
+def test_matvec_fft_on_rational_files(tmp_path, capsys):
+    # the FFT products convert rational operands themselves and print a complex vector
     coeffs = tmp_path / "a.txt"
     vec = tmp_path / "v.txt"
-    write_vector(coeffs, [Fraction(1), Fraction(2)])
-    write_vector(vec, [Fraction(1), Fraction(0)])
-    code, _, err = run(capsys, "matvec", "--coeffs", str(coeffs), "--vec", str(vec), "--impl", "embed")
-    assert code == 2 and err
+    write_vector(coeffs, [Fraction(1), Fraction(2, 3), Fraction(-1), Fraction(5, 7)])
+    write_vector(vec, [Fraction(1), Fraction(0), Fraction(-3, 2), Fraction(4)])
+    a, v = read_vector(coeffs)[0], read_vector(vec)[0]
+    spec = ToeplitzSpec.from_lower_column(a)
+    for impl, product in (("embed", toeplitz_matvec_embed), ("split", toeplitz_matvec_split)):
+        code, out, err = run(capsys, "matvec", "--coeffs", str(coeffs), "--vec", str(vec), "--impl", impl)
+        assert (code, out, err) == (0, format_vector(product(spec, v, 2)), ""), impl
+        assert out.startswith("# n=4 field=complex\n"), impl
 
 
 def test_matvec_toeplitz_shape_errors_exit_two(tmp_path, capsys):

@@ -111,6 +111,10 @@ def test_plan_rejects_mixed_length():
         DftPlan(12, 2)
     with pytest.raises(ValueError):
         DftPlan(10, 3)
+    with pytest.raises(ValueError, match="length must be >= 1"):
+        plan_for(0, 2)
+    with pytest.raises(ValueError, match="length must be >= 1"):
+        ltt_matvec_fft([], [], 2)
 
 
 def test_dft_examples():

@@ -61,6 +61,15 @@ OPTIONS_KEPT = (
     ("toeplitz_matvec_split", "ops", "perfbench passes it to the product it looks up by name"),
 )
 
+# Every option string of each lttkit subcommand, in the order _build_parser
+# adds them, without argparse's own -h/--help. A flag added or removed changes
+# the command line and must change this list on purpose.
+CLI_FLAGS = {
+    "bernoulli": ["--count", "--method", "--solver", "--format", "--out"],
+    "solve": ["--coeffs", "--rhs", "--base", "--solver", "--trace", "--out"],
+    "matvec": ["--coeffs", "--vec", "--type", "--impl", "--base", "--out"],
+}
+
 
 def test_import_loads_only_stdlib_modules():
     # pyproject declares no dependencies; peak-RSS figures assume numpy is not loaded
@@ -256,10 +265,24 @@ def test_every_public_option_is_passed():
     assert sorted(unpassed) == sorted((name, param) for name, param, _ in OPTIONS_KEPT)
 
 
+def _cli_flags():
+    (sub,) = [a for a in _build_parser()._actions if isinstance(a, argparse._SubParsersAction)]
+    return {
+        name: [flag for a in p._actions if not isinstance(a, argparse._HelpAction) for flag in a.option_strings]
+        for name, p in sub.choices.items()
+    }
+
+
+def test_cli_flags_are_pinned():
+    assert _cli_flags() == CLI_FLAGS
+
+
 def test_readme_command_lines_name_the_subcommands():
-    # the `lttkit <command>` lines of the README's Command line block
+    # the `lttkit <command>` lines of the README's Command line block, each --flag one of its command's
     section = (TESTS.parent / "README.md").read_text(encoding="utf-8").split("\n## Command line\n")[1]
     block = section.split("```")[1]
-    named = set(re.findall(r"^lttkit (\S+)", block, re.MULTILINE))
-    (sub,) = [a for a in _build_parser()._actions if isinstance(a, argparse._SubParsersAction)]
-    assert named == set(sub.choices)
+    lines = re.findall(r"^lttkit (\S+)(.*)$", block, re.MULTILINE)
+    flags = _cli_flags()
+    assert {command for command, _ in lines} == set(flags)
+    for command, rest in lines:
+        assert set(re.findall(r"--[\w-]+", rest)) <= set(flags[command]), (command, rest)
