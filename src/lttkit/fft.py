@@ -78,7 +78,7 @@ from itertools import chain, repeat
 from operator import add, itemgetter, mul, sub
 
 from .opcount import OpCounter
-from .scalars import neg_root
+from .scalars import _complex_operands, _require_finite, neg_root
 
 __all__ = [
     "DftPlan",
@@ -798,6 +798,8 @@ def toeplitz_matvec_embed(spec: ToeplitzSpec, v, base: int, ops: OpCounter | Non
     if len(v) != n:
         raise ValueError(f"length mismatch: matrix {n}, vector {len(v)}")
     _check_power(n, base)
+    _require_finite(spec.diags, "matrix")
+    _require_finite(v, "vector")
     plan = plan_for(base * n, base)
     if ops is not None:
         ops.add(base * n)
@@ -815,6 +817,8 @@ def toeplitz_matvec_split(spec: ToeplitzSpec, v, base: int, ops: OpCounter | Non
     if len(v) != n:
         raise ValueError(f"length mismatch: matrix {n}, vector {len(v)}")
     d = spec.diags  # t_k sits at d[n - 1 + k]
+    _require_finite(d, "matrix")
+    _require_finite(v, "vector")
     return _split_matvec(list(map(complex, d[n - 1 :: -1])), [0j, *map(complex, d[: n - 1 : -1])], v, base, ops)
 
 
@@ -831,6 +835,7 @@ def toeplitz_matvec_naive(spec: ToeplitzSpec, v):
     if len(v) != n:
         raise ValueError(f"length mismatch: matrix {n}, vector {len(v)}")
     d = spec.diags
+    _complex_operands(matrix=d, vector=v)
     # row i is t_i, t_{i-1}, ..., t_{i-n+1}: d[n-1+i] down to d[i]
     return [sum(map(mul, d[i : n + i][::-1], v)) for i in range(n)]
 

@@ -17,7 +17,6 @@ are ``re`` or ``re,im`` with decimal float literals.
 from __future__ import annotations
 
 import cmath
-import math
 import re
 from fractions import Fraction
 
@@ -46,7 +45,7 @@ def parse_scalar(text: str, field: str):
         else:
             raise ValueError(f"malformed complex scalar: {text!r}")
         value = complex(float(re_part), float(im_part))
-        if not (math.isfinite(value.real) and math.isfinite(value.imag)):
+        if not cmath.isfinite(value):
             raise ValueError(f"non-finite complex scalar: {text!r}")
         return value
     raise ValueError(f"unknown scalar field: {field!r}")
@@ -98,3 +97,23 @@ def _require_finite(values, name):
             finite = False
         if not finite:
             raise ValueError(f"{name} entry at index {i} is not a finite double: {v!r}")
+
+
+def _complex_operands(**operands):
+    """Whether a float or complex entry in an operand makes the computation complex.
+
+    Then every operand, in the order given and named by its keyword, must
+    hold finite doubles only (_require_finite).
+    """
+    if COMPLEX not in [field_of(values) for values in operands.values()]:
+        return False
+    for name, values in operands.items():
+        _require_finite(values, name)
+    return True
+
+
+def _in_double_range(values, what):
+    """Return complex ``values`` unchanged, or raise OverflowError when an entry is NaN or infinite."""
+    if not all(map(cmath.isfinite, values)):
+        raise OverflowError(f"{what} leaves the double range")
+    return values

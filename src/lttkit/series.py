@@ -26,13 +26,12 @@ dense_forward_substitution in tests/oracles.py.
 
 from __future__ import annotations
 
-import cmath
 import math
 from fractions import Fraction
 from operator import mul
 
 from .opcount import OpCounter
-from .scalars import COMPLEX, RATIONAL, _require_finite, field_of, format_scalar, parse_scalar
+from .scalars import COMPLEX, RATIONAL, _complex_operands, _in_double_range, field_of, format_scalar, parse_scalar
 
 
 class SingularMatrixError(ZeroDivisionError):
@@ -275,10 +274,7 @@ def ltt_solve_forward(a, f):
         raise ValueError(f"length mismatch: column {n}, rhs {len(f)}")
     if not a:
         raise ValueError("empty column")
-    complex_solve = COMPLEX in (field_of(a), field_of(f))
-    if complex_solve:
-        _require_finite(a, "column")
-        _require_finite(f, "rhs")
+    complex_solve = _complex_operands(column=a, rhs=f)
     a0 = a[0]
     if a0 == 0:
         raise SingularMatrixError("leading coefficient is zero")
@@ -288,27 +284,37 @@ def ltt_solve_forward(a, f):
         for i in range(n):
             s = f[i] - sum(map(mul, ar[n - 1 - i : n - 1], x))
             x.append(s if a0 == 1 else s / a0)
-        if not all(map(cmath.isfinite, x)):
-            raise OverflowError("the solution leaves the double range")
-        return x
+        return _in_double_range(x, "the solution")
     return _substitute(_toeplitz_rows(a, f), _int_prefix(a, first_non_int(f)))
 
 
 def format_vector(values) -> str:
-    """Vector file text: a '# n=<len> field=<field>' header, then one scalar per line."""
-    lines = [f"# n={len(values)} field={field_of(values)}"]
+    """Vector file text: a '# n=<len> field=<field>' header, then one scalar per line.
+
+    Only text that read_vector reads back: every value of a complex vector
+    is written as complex, so an int or Fraction beyond the double range
+    raises OverflowError, as a NaN or infinite value does. An empty vector
+    raises ValueError.
+    """
+    if not values:
+        raise ValueError("cannot write an empty vector")
+    field = field_of(values)
+    if field == COMPLEX:
+        values = _in_double_range([complex(v) for v in values], "the vector")
+    lines = [f"# n={len(values)} field={field}"]
     lines.extend(format_scalar(v) for v in values)
     return "\n".join(lines) + "\n"
 
 
 def write_vector(path, values) -> None:
-    """Write ``values`` to ``path`` in the format_vector form."""
+    """Write ``values`` to ``path`` in the format_vector form; nothing is opened if that raises."""
+    text = format_vector(values)
     with open(path, "w", encoding="ascii") as fh:
-        fh.write(format_vector(values))
+        fh.write(text)
 
 
 def read_vector(path):
-    """Read a vector file, returning (values, field).
+    """Read a vector file, returning its values: Fractions, or complex numbers.
 
     The header line is optional; without it the field is inferred from the
     first value line (a comma, dot or exponent marks the complex field).
@@ -333,4 +339,4 @@ def read_vector(path):
     values = [parse_scalar(ln, field) for ln in lines]
     if declared is not None and declared != len(values):
         raise ValueError(f"header says n={declared} but file has {len(values)} values")
-    return values, field
+    return values

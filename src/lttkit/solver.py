@@ -86,7 +86,6 @@ range raises OverflowError rather than returning non-finite entries.
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass, replace
 from fractions import Fraction
@@ -96,7 +95,7 @@ from operator import mul
 
 from . import fft, series
 from .opcount import OpCounter
-from .scalars import COMPLEX, RATIONAL, _require_finite, field_of
+from .scalars import COMPLEX, RATIONAL, _complex_operands, _in_double_range, field_of
 from .series import SingularMatrixError
 
 __all__ = [
@@ -389,7 +388,7 @@ def invert_first_column(a, base: int):
     nullification level, the shorter column is read off directly. The
     trace's mult_count counts the solve's multiplications.
     """
-    x, den, trace = _inverse(a, base, field_of(a), OpCounter())
+    x, den, trace = _inverse(a, base, COMPLEX if _complex_operands(column=a) else RATIONAL, OpCounter())
     if den is not None:
         x = series._values(x, den, series._int_prefix(a, len(a)))
     return x, trace
@@ -398,9 +397,9 @@ def invert_first_column(a, base: int):
 def _inverse(a, base, field, ops):
     """invert_first_column's (x, den, trace): x as integer numerators over den, or complex with den None.
 
-    field is a's, decided by the caller; the trace's column is the only copy
-    of a the solve makes. ops is a fresh counter, so the trace's mult_count
-    is its total.
+    field is a's, decided by the caller, who has checked the entries of a
+    complex a; the trace's column is the only copy of a the solve makes. ops
+    is a fresh counter, so the trace's mult_count is its total.
     """
     if base < 2:
         raise ValueError("base must be >= 2")
@@ -417,7 +416,6 @@ def _inverse(a, base, field, ops):
         first = list(a) if a0 == 1 else [Fraction(1)] + [v / a0 for v in a[1:]]
         col, den = series._numerators(first)
     else:
-        _require_finite(a, "column")
         # a0 / a0 can round off 1 in complex arithmetic, so the head is set exactly
         tail = map(complex, a[1:]) if a0 == 1 else (complex(v) / a0 for v in a[1:])
         first = [1 + 0j, *tail, *repeat(0j, _power_at_least(n, base) - n)]
@@ -448,9 +446,7 @@ def _inverse(a, base, field, ops):
     if field == RATIONAL:
         return (*series._reduced([v * a0.denominator for v in w], wden * a0.numerator), trace)
     x = w[:n] if a0 == 1 else [v / a0 for v in w[:n]]
-    if not all(map(cmath.isfinite, x)):
-        raise OverflowError("the inverse's first column leaves the double range")
-    return x, None, trace
+    return _in_double_range(x, "the inverse's first column"), None, trace
 
 
 def _unit_scaled(v):
@@ -483,10 +479,7 @@ def ltt_solve_fast(a, f, base: int, with_trace: bool = False):
     """
     if len(f) != len(a):
         raise ValueError(f"length mismatch: column {len(a)}, rhs {len(f)}")
-    cx = COMPLEX in (field_of(a), field_of(f))
-    if cx:
-        _require_finite(a, "column")  # a bad column is reported before a bad rhs
-        _require_finite(f, "rhs")
+    cx = _complex_operands(column=a, rhs=f)  # a bad column is reported before a bad rhs
     ops = OpCounter()
     inv, iden, trace = _inverse(a, base, COMPLEX if cx else RATIONAL, ops)
     if cx:
@@ -500,8 +493,7 @@ def ltt_solve_fast(a, f, base: int, with_trace: bool = False):
         for k in ((ea + eg) // 2, (ea + eg + 1) // 2):
             if k:
                 x = list(map(mul, x, repeat(2.0**k)))
-        if not all(map(cmath.isfinite, x)):
-            raise OverflowError("the final product leaves the double range")
+        _in_double_range(x, "the final product")
     else:
         # inv(z) = h(z**b): _apply_hat's f(z) * h(z**b), b products of a b-th of the length
         nums, fden = series._numerators(f)

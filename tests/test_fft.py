@@ -1,6 +1,7 @@
 import cmath
 import random
 import tracemalloc
+from fractions import Fraction
 from itertools import repeat
 from math import log
 from operator import add, is_, mul, sub
@@ -712,6 +713,22 @@ def test_products_reject_length_mismatch():
     ):
         with pytest.raises(ValueError, match=f"length mismatch: {match}"):
             call()
+
+
+def test_toeplitz_products_refuse_entries_beyond_double_range():
+    # as the complex solves do, an entry no double holds is named before any transform,
+    # the matrix's before the vector's; the naive product checks only when it runs in complex
+    huge = 10**400
+    for product in (
+        toeplitz_matvec_naive,
+        lambda spec, v: toeplitz_matvec_embed(spec, v, 2),
+        lambda spec, v: toeplitz_matvec_split(spec, v, 2),
+    ):
+        with pytest.raises(ValueError, match="^vector entry at index 1 is not a finite double"):
+            product(ToeplitzSpec(2, (0, 1, 0.5j)), [1, huge])
+        with pytest.raises(ValueError, match="^matrix entry at index 2 is not a finite double"):
+            product(ToeplitzSpec(2, (0, 1, Fraction(huge, 3))), [1j, float("nan")])
+    assert toeplitz_matvec_naive(ToeplitzSpec(2, (0, 1, huge)), [1, 1]) == [1, huge + 1]
 
 
 def test_products_take_the_base_they_run_at():

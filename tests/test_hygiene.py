@@ -109,14 +109,36 @@ def test_import_builds_no_plan_and_runs_no_transform():
     assert set(ran) <= {"<module>", "DftPlan", "ToeplitzSpec"}, ran
 
 
-def test_oracles_import_nothing_from_lttkit():
-    tree = ast.parse((TESTS / "oracles.py").read_text(encoding="utf-8"))
-    imported = set()
+def _imported(tree):
+    """Module names a tree imports: `import m` gives m, `from m import n` gives m and m.n."""
+    names = set()
     for node in ast.walk(tree):
         if isinstance(node, ast.Import):
-            imported.update(alias.name for alias in node.names)
+            names.update(alias.name for alias in node.names)
         elif isinstance(node, ast.ImportFrom):
-            imported.add(node.module or "")
+            names.add(node.module or "")
+            names.update(f"{node.module or ''}.{alias.name}" for alias in node.names)
+    return names
+
+
+def test_double_range_rule_lives_in_scalars():
+    # cmath.isfinite, the test of "a complex value is a finite double", is read in scalars
+    # alone, as is any other isfinite; the CLI holds no numeric code and leaves the range to
+    # the library
+    sources = {path.name: path.read_text(encoding="utf-8") for path in (SRC / "lttkit").glob("*.py")}
+    readers = {
+        module
+        for module, text in sources.items()
+        for node in ast.walk(ast.parse(text))
+        if "isfinite" in (getattr(node, "attr", None), getattr(node, "id", None))
+    }
+    assert readers == {"scalars.py"}
+    imported = _imported(ast.parse(sources["cli.py"]))
+    assert not {name for name in imported if name.split(".")[-1] in ("cmath", "math", "scalars")}, imported
+
+
+def test_oracles_import_nothing_from_lttkit():
+    imported = _imported(ast.parse((TESTS / "oracles.py").read_text(encoding="utf-8")))
     assert imported
     assert not {name for name in imported if name.split(".")[0] == "lttkit"}
 

@@ -414,23 +414,52 @@ def test_vector_file_round_trip(tmp_path):
     path = tmp_path / "vec.txt"
     values = [Fraction(-3, 2), Fraction(0), Fraction(7)]
     write_vector(path, values)
-    got, field = read_vector(path)
-    assert got == values and field == "rational"
+    got = read_vector(path)
+    assert got == values and all(type(v) is Fraction for v in got)
 
     zvals = [complex(1.5, -2.25), complex(0, 1)]
     write_vector(path, zvals)
-    got, field = read_vector(path)
-    assert got == zvals and field == "complex"
+    got = read_vector(path)
+    assert got == zvals and all(type(v) is complex for v in got)
+
+
+def test_write_vector_writes_only_what_read_vector_reads(tmp_path):
+    # a rational or all-complex vector reads back as written, a mixed one as its
+    # values converted with complex(); what no file can hold raises, and no file is left
+    path = tmp_path / "vec.txt"
+    huge = Fraction(10**400, 3)
+    mixed = [1, Fraction(1, 3), -0.5, 2 - 1j, Fraction(-7, 2)]
+    for values, want, kind in (
+        ([Fraction(-3, 2), 0, 7, huge, -(10**400)], None, Fraction),
+        ([1.5 - 2.25j, 1j, 5e-324 + 1e308j, complex(-1e-300, 3)], None, complex),
+        (mixed, [complex(x) for x in mixed], complex),
+        ([0.5, Fraction(1, 3)], [0.5 + 0j, complex(Fraction(1, 3))], complex),
+    ):
+        write_vector(path, values)
+        got = read_vector(path)
+        assert got == (values if want is None else want) and all(type(v) is kind for v in got), values
+    for values, error, match in (
+        ([1j, float("nan")], OverflowError, "^the vector leaves the double range$"),
+        ([float("inf")], OverflowError, "^the vector leaves the double range$"),
+        ([1, complex(0, float("-inf"))], OverflowError, "^the vector leaves the double range$"),
+        ([1j, 10**400], OverflowError, "too large"),
+        ([0.5, huge], OverflowError, "too large"),
+        ([], ValueError, "^cannot write an empty vector$"),
+    ):
+        path.unlink(missing_ok=True)
+        with pytest.raises(error, match=match):
+            write_vector(path, values)
+        assert not path.exists(), values
 
 
 def test_vector_file_without_header(tmp_path):
     path = tmp_path / "vec.txt"
     path.write_text("1/2\n-3\n", encoding="ascii")
-    got, field = read_vector(path)
-    assert got == [Fraction(1, 2), Fraction(-3)] and field == "rational"
+    got = read_vector(path)
+    assert got == [Fraction(1, 2), Fraction(-3)] and all(type(v) is Fraction for v in got)
     path.write_text("1.5,0.0\n2.0,1.0\n", encoding="ascii")
-    got, field = read_vector(path)
-    assert got == [1.5 + 0j, 2 + 1j] and field == "complex"
+    got = read_vector(path)
+    assert got == [1.5 + 0j, 2 + 1j] and all(type(v) is complex for v in got)
 
 
 def test_vector_file_header_mismatch(tmp_path):

@@ -14,6 +14,7 @@ from oracles import (
     tangent_bernoulli,
 )
 
+from lttkit import scalars, solver
 from lttkit.bernoulli import gen_system
 from lttkit.series import (
     SingularMatrixError,
@@ -684,10 +685,27 @@ def test_entries_beyond_double_range_raise_value_error():
         (lambda: ltt_solve_fast([1, huge, 0, 0], [0.5, 0, 0, 0], 2), "column entry at index 1"),
         (lambda: ltt_solve_fast([1, 0, 0, 0], [huge, 0.5, 0, 0], 2), "rhs entry at index 0"),
         (lambda: ltt_solve_fast([1, 0.5, 0, 0], [0, 0, huge, 0], 2), "rhs entry at index 2"),
+        (lambda: ltt_solve_fast([1, 0, huge, 0], [0.5, huge, 0, 0], 2), "column entry at index 2"),
     )
     for call, where in cases:
         with pytest.raises(ValueError, match=where):
             call()
+
+
+def test_complex_solves_check_each_operand_once(monkeypatch):
+    # each public entry scans each operand once: the inversion under ltt_solve_fast does not rescan the
+    # column. The check is counted wherever it is bound, in scalars or imported into the solver.
+    checked = []
+    check = scalars._require_finite
+    for module in (scalars, solver):
+        monkeypatch.setattr(
+            module, "_require_finite", lambda values, name: checked.append(name) or check(values, name), raising=False
+        )
+    ltt_solve_fast([1, 0.5j, 0, 0], [1, 0, 0, 0], 2)
+    assert checked == ["column", "rhs"]
+    checked.clear()
+    invert_first_column([1, 0.5j, 0, 0], 2)
+    assert checked == ["column"]
 
 
 def test_solve_fast_complex_non_power_lengths():
