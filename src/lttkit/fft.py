@@ -816,6 +816,7 @@ def toeplitz_matvec_split(spec: ToeplitzSpec, v, base: int, ops: OpCounter | Non
     n = spec.n
     if len(v) != n:
         raise ValueError(f"length mismatch: matrix {n}, vector {len(v)}")
+    _check_power(n, base)
     d = spec.diags  # t_k sits at d[n - 1 + k]
     _require_finite(d, "matrix")
     _require_finite(v, "vector")

@@ -293,14 +293,20 @@ def format_vector(values) -> str:
 
     Only text that read_vector reads back: every value of a complex vector
     is written as complex, so an int or Fraction beyond the double range
-    raises OverflowError, as a NaN or infinite value does. An empty vector
-    raises ValueError.
+    raises OverflowError naming its index, and a NaN or infinite value
+    raises OverflowError. An empty vector raises ValueError.
     """
     if not values:
         raise ValueError("cannot write an empty vector")
     field = field_of(values)
     if field == COMPLEX:
-        values = _in_double_range([complex(v) for v in values], "the vector")
+        converted = []
+        for i, v in enumerate(values):
+            try:
+                converted.append(complex(v))
+            except OverflowError:
+                raise OverflowError(f"vector entry at index {i} is beyond the double range") from None
+        values = _in_double_range(converted, "the vector")
     lines = [f"# n={len(values)} field={field}"]
     lines.extend(format_scalar(v) for v in values)
     return "\n".join(lines) + "\n"

@@ -40,7 +40,9 @@ hat[r::base] with the vector. Each product of a residue class, in the
 levels and the assembly, is one series._kronecker call: four big-integer
 multiplies of a quarter of the size, by four-point Kronecker substitution.
 A base-2 level's two products are squarings, next = A0**2 - z A1**2 with
-A0, A1 = a[0::2], a[1::2]. The base-3 companion column stays a naive sum.
+A0, A1 = a[0::2], a[1::2]. A base-3 level's companion column is six
+products of a third of the length, one per pair of the classes A_r =
+a[r::3], and its next column three more (see _hat_base3 and _level).
 A column that is already zero off the multiples of the base skips its
 level in either field: its companion column is e_1, and its assembly step
 is a pure spread with no multiplication.
@@ -70,9 +72,11 @@ skip, the Graeffe step or the exact level. SolveTrace keeps the normalized
 first column, in either field, and the level count; when hat_columns is
 first read it replays the levels from that column through _level and writes
 each step out as a companion column. sparsify_step is the reference for one
-exact level, built by definition from sparsify_hat and the naive product; it
-shares no product code with the solver. SolveTrace counts every transform
-multiplication and pointwise product of the solve, O(n log n) in total.
+exact level: sparsify_hat, the solver's own companion column, and the naive
+product for the next column. The base-3 companion column's oracle is
+tests/oracles.py's product_form_hat3, the product of the rotations by
+definition. SolveTrace counts every transform multiplication and pointwise
+product of the solve, O(n log n) in total.
 
 The companion columns are built from products of the input column with
 itself, so their dynamic range roughly squares at every level. Exact
@@ -91,7 +95,7 @@ from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import cached_property
 from itertools import repeat
-from operator import mul
+from operator import mul, sub
 
 from . import fft, series
 from .opcount import OpCounter
@@ -159,40 +163,33 @@ def _hat_base2(a):
     return [v if i % 2 == 0 else -v for i, v in enumerate(a)]
 
 
-def _hat_base3_exact(a, ops: OpCounter):
-    """Companion column for base 3 over exact scalars.
+def _hat_base3(col, ops):
+    """a(t z) a(t**2 z) mod z**(3L), t = exp(2 pi i/3), for an integer column col of length 3L.
 
-    hat_i collects the products a_r * a_q over r + q = i with coefficient
-    +2 when the gap q - r is divisible by 3, -1 otherwise, and +1 for the
-    square term at even i. The coefficients are integers, so rational input
-    gives rational output.
+    With A_r = col[r::3] and y a shift by one slot, its residue classes are
+    hat[0::3] = A0**2 - y A1 A2, hat[1::3] = y A2**2 - A0 A1 and hat[2::3] =
+    A1**2 - A0 A2: six l.t.T. products of length L, on three _kronecker calls.
     """
-    n = len(a)
-    out = []
-    mults = 0
-    for i in range(n):
-        s = 0
-        for r in range((i + 1) // 2):
-            q = i - r
-            p = a[r] * a[q]
-            s = s + p + p if (q - r) % 3 == 0 else s - p
-            mults += 1
-        if i % 2 == 0:
-            h = a[i // 2]
-            s = s + h * h
-            mults += 1
-        out.append(s)
-    ops.add(mults)
-    return out
+    a0, a1, a2 = col[0::3], col[1::3], col[2::3]
+    s0, p01, p02 = series._kronecker([a0, a1, a2], a0, ops)
+    s1, p12 = series._kronecker([a1, a2], a1, ops)
+    (s2,) = series._kronecker([a2], a2, ops)
+    hat = [0] * len(col)
+    hat[0::3] = map(sub, s0, [0, *p12])
+    hat[1::3] = map(sub, [0, *s2], p01)
+    hat[2::3] = map(sub, s1, p02)
+    return hat
 
 
 def sparsify_hat(a, base: int):
     """Column hat with (L(a) hat)_i = 0 at every index i with i % base != 0.
 
     The exact level's companion column: a rational column with a[0] == 1,
-    at base 2 or 3, where the closed forms have integer coefficients. A
-    complex column raises ValueError; its levels run in the transform
-    domain inside invert_first_column.
+    at base 2 or 3, where the closed forms have integer coefficients. At
+    base 3 it is the solver's _hat_base3 on the column's numerators, padded
+    to a multiple of 3 and truncated back, and entry i is an int exactly
+    when a_0..a_i are. A complex column raises ValueError; its levels run in
+    the transform domain inside invert_first_column.
     """
     if not a or a[0] != 1:
         raise ValueError("column must be normalized to leading coefficient 1")
@@ -201,18 +198,20 @@ def sparsify_hat(a, base: int):
     if base == 2:
         return _hat_base2(a)
     if base == 3:
-        return _hat_base3_exact(a, OpCounter())
+        nums, den = series._numerators(a)
+        hat = _hat_base3(nums + [0] * (-len(a) % 3), None)[: len(a)]
+        return series._values(hat, den * den, series.first_non_int(a))
     raise ValueError(f"no exact companion form is implemented above base 3, got base {base}; use base 2 or 3")
 
 
 def sparsify_step(a, base: int) -> SparsifyResult:
     """Companion column plus the next, base-times-shorter column, by definition.
 
-    The reference for one exact level: hat = sparsify_hat(a, base), and
-    ``next`` holds entries 0, base, 2*base, ... of the naive product L(a) hat,
-    so it shares no product code with the solver. O(m**2). next has length
-    len(a) // base, next[0] == 1, and next[i] is an int when a_0..a_{base*i}
-    are.
+    The reference for one exact level: hat = sparsify_hat(a, base), the
+    solver's own companion column, and ``next`` holds entries 0, base,
+    2*base, ... of the naive product L(a) hat, so only the next column is
+    computed apart from the solver. O(m**2). next has length len(a) // base,
+    next[0] == 1, and next[i] is an int when a_0..a_{base*i} are.
     """
     if len(a) % base:
         raise ValueError(f"length {len(a)} not divisible by base {base}")
@@ -350,7 +349,7 @@ def _level(col, den, base, ops):
     if den is None:
         return (*_graeffe_level(col, base, ops), None)
     padded = col + [0] * (-len(col) % base)
-    hat, hden = series._reduced(_hat_base2(padded) if base == 2 else _hat_base3_exact(padded, ops), den ** (base - 1))
+    hat, hden = series._reduced(_hat_base2(padded) if base == 2 else _hat_base3(padded, ops), den ** (base - 1))
     step = series._reduced(hat[: len(col)], hden)
     if len(padded) == base:
         return step, [1], 1

@@ -404,14 +404,21 @@ def test_binom_even_matches_tangent_oracle_512():
 
 
 def test_ram_column_count_at_base3():
-    # solved at its own length 128, not padded to 243 (4480 multiplications):
-    # the first level is free and each later one keeps ceil(m/3) coefficients;
-    # the assembly applies the shortest level like the others, from [1]
+    # solved at its own length 128, not padded to 243: the first level is free and
+    # each later one keeps ceil(m/3) coefficients; the assembly applies the shortest
+    # level like the others, from [1]. Each product of length L counts L(L+1)/2.
+    # Levels 43, 15, 5, 2 pad to 3L = 45, 15, 6, 3, and each counts its companion
+    # column (six products of length L), its next column (three, none at 3L = 3)
+    # and its assembly step (one per class of the m-long column):
+    #   L=15: 6*120 + 3*120 + (120 + 105 + 105) = 1410
+    #   L=5:  6*15 + 3*15 + 3*15 = 180
+    #   L=2:  6*3 + 3*3 + (3 + 3 + 1) = 34
+    #   L=1:  6*1 + 0 + (1 + 1) = 8, in all 1632
     a = gen_system("ramanujan", "typeI", 128, Fraction(1)).a
     _, trace = invert_first_column(a, 3)
     assert [len(h) for h in trace.hat_columns] == [128, 43, 15, 5, 2]
     assert trace.hat_columns[0] == [1] + [0] * 127
-    assert trace.mult_count == 1407
+    assert trace.mult_count == 1632
 
 
 def test_every_route_matches_tangent_oracle():

@@ -232,6 +232,19 @@ def test_matvec_entries_beyond_double_range_exit_two(tmp_path, capsys, impl):
     assert (code, out) == (2, "") and err.startswith("error: matrix entry at index 2 is not a finite double")
 
 
+def test_matvec_products_name_the_length_before_the_entries(tmp_path, capsys):
+    # at a length that is not a power of the base, an entry no double holds is not what is reported
+    diags = tmp_path / "diags.txt"
+    vec = tmp_path / "vec.txt"
+    write_vector(diags, [Fraction(10**400)] + [Fraction(1)] * 16)
+    write_vector(vec, [1j] * 9)
+    for base in ("2", "5"):
+        for impl in ("embed", "split"):
+            argv = ["matvec", "--coeffs", str(diags), "--vec", str(vec), "--type", "toeplitz", "--impl", impl]
+            code, out, err = run(capsys, *argv, "--base", base)
+            assert (code, out, err) == (2, "", f"error: length 9 is not a power of base {base}\n"), (base, impl)
+
+
 def test_solve_shape_mismatch_exits_two(tmp_path, capsys):
     coeffs = tmp_path / "a.txt"
     rhs = tmp_path / "f.txt"

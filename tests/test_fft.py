@@ -756,6 +756,16 @@ def test_products_take_the_base_they_run_at():
     ):
         with pytest.raises(ValueError, match="length 1009 is not a power of base 2"):
             call()
+    # and before any entry: one that no double holds is not what the Toeplitz products name
+    huge = 10**400
+    for base in (2, 5):
+        for spec, v in (
+            (ToeplitzSpec(9, (huge, *[1j] * 16)), [1.0] * 9),
+            (ToeplitzSpec(9, (1j,) * 17), [1.0] * 8 + [huge]),
+        ):
+            for product in (toeplitz_matvec_embed, toeplitz_matvec_split):
+                with pytest.raises(ValueError, match=f"^length 9 is not a power of base {base}$"):
+                    product(spec, v, base)
     # length 1 has no transform to refuse the base, so each product checks it
     spec = ToeplitzSpec(1, (2,))
     for base in (0, 1):

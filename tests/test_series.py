@@ -442,8 +442,8 @@ def test_write_vector_writes_only_what_read_vector_reads(tmp_path):
         ([1j, float("nan")], OverflowError, "^the vector leaves the double range$"),
         ([float("inf")], OverflowError, "^the vector leaves the double range$"),
         ([1, complex(0, float("-inf"))], OverflowError, "^the vector leaves the double range$"),
-        ([1j, 10**400], OverflowError, "too large"),
-        ([0.5, huge], OverflowError, "too large"),
+        ([1j, 10**400], OverflowError, "^vector entry at index 1 is beyond the double range$"),
+        ([0.5, 1, huge], OverflowError, "^vector entry at index 2 is beyond the double range$"),
         ([], ValueError, "^cannot write an empty vector$"),
     ):
         path.unlink(missing_ok=True)

@@ -89,13 +89,22 @@ def test_hat_nullifies_off_multiples():
 
 
 def test_hat_base3_matches_exact_product_form():
-    # closed form against the product of rotated columns, exactly in Q(w)
+    # the class products against the product of rotated columns, exactly in Q(w), at every
+    # length to 60 and two longer ones, on int, Fraction and mixed columns; entry i is an
+    # int exactly when a_0..a_i are, as a per-term sum of their products types it
     rng = random.Random(71)
-    columns = [[Fraction(1)] * 9] + [_rat_column(rng, n) for n in (5, 12, 26)]
-    for a in columns:
-        closed = sparsify_hat(a, 3)
-        product = product_form_hat3(a)
-        assert product == [Eisenstein(c) for c in closed]
+    for m in [*range(1, 61), 128, 200]:
+        for a in (
+            [1] + [rng.randint(-9, 9) for _ in range(m - 1)],
+            _rat_column(rng, m),
+            [1] + [rng.randint(-9, 9) for _ in range(1, m // 2)]
+            + [rng.choice((7, Fraction(rng.randint(-9, 9), 2))) for _ in range(max(m // 2, 1), m)],
+        ):
+            hat = sparsify_hat(a, 3)
+            assert product_form_hat3(a) == [Eisenstein(c) for c in hat], a
+            ints = next((i for i, v in enumerate(a) if type(v) is not int), m)
+            assert [type(c) for c in hat] == [int] * ints + [Fraction] * (m - ints), a
+    assert sparsify_hat([Fraction(1)] * 9, 3) == [1, -1, 0] * 3  # 1 / (1 + z + z**2)
 
 
 def test_hat_complex_path_is_real_for_rational_input():
