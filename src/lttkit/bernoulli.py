@@ -206,49 +206,25 @@ def _binomial_rows(parity, n):
     return rows, [(1, 1)] + [(2 * j - 1, 2) for j in range(2, n + 1)]
 
 
-def _zeros(n):
-    return [[Fraction(0)] * n for _ in range(n)]
-
-
-def _matmul(a, b):
-    n = len(a)
-    out = _zeros(n)
-    for i in range(n):
-        ai = a[i]
-        for k in range(n):
-            v = ai[k]
-            if v:
-                bk = b[k]
-                row = out[i]
-                for j in range(k + 1):  # all our factors are lower triangular
-                    row[j] += v * bk[j]
-    return out
-
-
-def _weighted_shift(n, weight):
-    # weight(i) on the subdiagonal entry of row i
-    m = _zeros(n)
-    for i in range(1, n):
-        m[i][i - 1] = Fraction(weight(i))
-    return m
-
-
 def _even_weight(i):
     # subdiagonal 1*2, 3*4, 5*6, ...
     return (2 * i - 1) * (2 * i)
 
 
-def _nilpotent_series(coeff, m, n):
-    out = _zeros(n)
-    power = _zeros(n)
+def _nilpotent_series(coeff, weight, n):
+    """The n x n matrix sum_k coeff(k) S**k of the shift S weighted by S[i][i-1] = weight(i).
+
+    S**k is zero off its k-th subdiagonal, so entry (i, j) is
+    coeff(i - j) * weight(j + 1) * ... * weight(i) for j <= i, and 0 above
+    the diagonal.
+    """
+    out = []
     for i in range(n):
-        power[i][i] = Fraction(1)
-    for k in range(n):
-        c = coeff(k)
-        for i in range(n):
-            for j in range(n):
-                out[i][j] += c * power[i][j]
-        power = _matmul(power, m)
+        row, w = [Fraction(0)] * n, 1
+        for j in range(i, -1, -1):  # w = weight(j + 1) * ... * weight(i)
+            row[j] = coeff(i - j) * w
+            w *= weight(j)
+        out.append(row)
     return out
 
 
@@ -256,37 +232,26 @@ def tartaglia_check(n: int) -> bool:
     """Exact structural identities behind the binomial systems.
 
     Checks that the binomial (Pascal) triangle equals the exponential series
-    of the weighted shift, and that both binomial system matrices equal their
-    series representations over the even weighted shift.
+    of the shift weighted by i, and that both binomial system matrices equal
+    their series over the even weighted shift S (weights (2i-1) 2i), each
+    entry from the closed form of the powers of S: entry (i, j) of
+    sum_k c(k) S**k is c(i - j) w(j + 1) ... w(i) for j <= i and 0 above the
+    diagonal. The even rows are those of S times the series in 1/(2k+2)!,
+    the odd rows (2i+1) times row i of the series in 1/(2k+1)!.
     """
     if n < 1 or n > 16:
         raise ValueError("check is meant for 1 <= n <= 16")
     pascal = [[Fraction(comb(i, j)) for j in range(n)] for i in range(n)]
-    pascal_series = _nilpotent_series(lambda k: Fraction(1, factorial(k)), _weighted_shift(n, lambda i: i), n)
-    for i in range(n):
-        for j in range(i + 1):
-            if pascal[i][j] != pascal_series[i][j]:
-                return False
-        if any(pascal_series[i][j] for j in range(i + 1, n)):
-            return False
+    if pascal != _nilpotent_series(lambda k: Fraction(1, factorial(k)), lambda i: i, n):
+        return False
 
-    # even matrix needs one extra row before the shift-up
-    m = n + 1
-    shift = _weighted_shift(m, _even_weight)
-    ps = _matmul(shift, _nilpotent_series(lambda k: Fraction(1, factorial(2 * k + 2)), shift, m))
-    binom_even = binomial_system("even", n)
-    for i in range(n):
-        row = [ps[i + 1][j] for j in range(i + 1)]
-        if row != binom_even.rows[i]:
-            return False
+    # row i + 1 of S times the series is _even_weight(i + 1) times the series' row i
+    t = _nilpotent_series(lambda k: Fraction(1, factorial(2 * k + 2)), _even_weight, n)
+    if [[_even_weight(i + 1) * v for v in t[i][: i + 1]] for i in range(n)] != binomial_system("even", n).rows:
+        return False
 
-    s = _nilpotent_series(lambda k: Fraction(1, factorial(2 * k + 1)), _weighted_shift(n, _even_weight), n)
-    binom_odd = binomial_system("odd", n)
-    for i in range(n):
-        row = [(2 * i + 1) * s[i][j] for j in range(i + 1)]
-        if row != binom_odd.rows[i]:
-            return False
-    return True
+    s = _nilpotent_series(lambda k: Fraction(1, factorial(2 * k + 1)), _even_weight, n)
+    return [[(2 * i + 1) * v for v in s[i][: i + 1]] for i in range(n)] == binomial_system("odd", n).rows
 
 
 def ramanujan_rhs(n: int) -> list:

@@ -66,8 +66,6 @@ def cmd_matvec(args) -> int:
     if args.type == "ltt":
         spec = fft.ToeplitzSpec.from_lower_column(coeffs)
     else:
-        if len(coeffs) % 2 == 0:
-            raise ValueError("a toeplitz diagonal file must hold 2n-1 values")
         spec = fft.ToeplitzSpec((len(coeffs) + 1) // 2, tuple(coeffs))
 
     if args.impl == "naive":

@@ -83,7 +83,9 @@ def _require_finite(values, name):
     """Raise ValueError naming the first entry that is not a finite double.
 
     cmath.isfinite raises OverflowError on an int or Fraction beyond the
-    double range, so such an operand takes the per-entry loop.
+    double range, so such an operand takes the per-entry loop. Such an entry
+    is described by its magnitude, not its digits: Python refuses the repr
+    of an int past 4300 digits.
     """
     try:
         if all(map(cmath.isfinite, values)):
@@ -92,11 +94,13 @@ def _require_finite(values, name):
         pass
     for i, v in enumerate(values):
         try:
-            finite = cmath.isfinite(complex(v))
+            if cmath.isfinite(complex(v)):
+                continue
+            shown = repr(v)
         except OverflowError:
-            finite = False
-        if not finite:
-            raise ValueError(f"{name} entry at index {i} is not a finite double: {v!r}")
+            bits = int(abs(v)).bit_length()
+            shown = f"{type(v).__name__} between 2**{bits - 1} and 2**{bits} in magnitude"
+        raise ValueError(f"{name} entry at index {i} is not a finite double: {shown}")
 
 
 def _complex_operands(**operands):

@@ -171,7 +171,7 @@ def test_binomial_rows_are_binomials():
             assert all(type(v) is Fraction for v in bs.rhs), (parity, n)
 
 
-@pytest.mark.parametrize("n", [1, 4, 6, 12])
+@pytest.mark.parametrize("n", range(1, 17))
 def test_tartaglia_check(n):
     assert tartaglia_check(n)
 
@@ -208,8 +208,9 @@ def _tampered_rows(system, parity):
         ("_nilpotent_series", _with_top_corner),
         ("binomial_system", lambda system: _tampered_rows(system, "even")),
         ("binomial_system", lambda system: _tampered_rows(system, "odd")),
+        ("_even_weight", lambda weight: lambda i: weight(i) + (i == 2)),
     ],
-    ids=["pascal-lower", "pascal-upper", "even-rows", "odd-rows"],
+    ids=["pascal-lower", "pascal-upper", "even-rows", "odd-rows", "even-weight"],
 )
 def test_tartaglia_check_fails_on_wrong_input(monkeypatch, name, wrong):
     # each identity the check makes is seen to fail on one wrong input

@@ -349,7 +349,7 @@ def test_matvec_toeplitz_shape_errors_exit_two(tmp_path, capsys):
     diags = tmp_path / "t.txt"
     vec = tmp_path / "v.txt"
     for values, vector, message in (
-        ([Fraction(1)] * 4, [Fraction(1)] * 2, "must hold 2n-1 values"),
+        ([Fraction(1)] * 4, [Fraction(1)] * 2, "need 3 diagonals, got 4"),
         ([Fraction(1)] * 5, [Fraction(1)] * 2, "length mismatch: matrix 3, vector 2"),
     ):
         write_vector(diags, values)

@@ -728,6 +728,9 @@ def test_toeplitz_products_refuse_entries_beyond_double_range():
             product(ToeplitzSpec(2, (0, 1, 0.5j)), [1, huge])
         with pytest.raises(ValueError, match="^matrix entry at index 2 is not a finite double"):
             product(ToeplitzSpec(2, (0, 1, Fraction(huge, 3))), [1j, float("nan")])
+        # past 4300 digits, where Python refuses an int's repr
+        with pytest.raises(ValueError, match="^matrix entry at index 2 is not a finite double: int between 2"):
+            product(ToeplitzSpec(2, (0, 1, 10**5000)), [1j, 1])
     assert toeplitz_matvec_naive(ToeplitzSpec(2, (0, 1, huge)), [1, 1]) == [1, huge + 1]
 
 

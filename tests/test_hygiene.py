@@ -165,28 +165,26 @@ def test_readme_api_section_names_the_exports():
 
 
 def test_every_private_function_is_used():
-    # a module-level _name defined in src/lttkit and read nowhere in its code is
-    # dead; docstrings, comments and imports do not count as reads
+    # a module-level private def, class or name defined in src/lttkit and read
+    # nowhere in its code is dead; docstrings, comments, imports, assignments and
+    # a function's own locals do not count as reads
     trees = {path.name: ast.parse(path.read_text(encoding="utf-8")) for path in (SRC / "lttkit").glob("*.py")}
-    read = set()
-    for tree in trees.values():
-        for node in ast.walk(tree):
-            if isinstance(node, ast.Name):
-                read.add(node.id)
-            elif isinstance(node, ast.Attribute):
-                read.add(node.attr)
-    private = [
-        (module, node.name)
-        for module, tree in trees.items()
-        for node in tree.body
-        if isinstance(node, ast.FunctionDef) and node.name.startswith("_") and not node.name.startswith("__")
-    ]
-    assert private
+    read = set().union(*map(_reads, trees.values()))
+    private = []
+    for module, tree in trees.items():
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                private.append((module, node.name))
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                private += [(module, t.id) for t in targets if isinstance(t, ast.Name)]
+    private = [(module, name) for module, name in private if name.startswith("_") and not name.startswith("__")]
+    assert {"_nilpotent_series", "_PLAN_CACHE"} <= {name for _, name in private}
     assert [(module, name) for module, name in private if name not in read] == []
 
 
 def _reads(tree):
-    """Names and attributes read in tree, except a function's own locals."""
+    """Names and attributes read in tree, except a function's own locals; a name it declares global is not one."""
     reads = set()
 
     def visit(node, local):
@@ -196,6 +194,7 @@ def _reads(tree):
                 for n in ast.walk(node)
                 if isinstance(n, ast.arg) or isinstance(n, ast.Name) and isinstance(n.ctx, ast.Store)
             }
+            local -= {name for n in ast.walk(node) if isinstance(n, ast.Global) for name in n.names}
         elif isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load) and node.id not in local:
             reads.add(node.id)
         elif isinstance(node, ast.Attribute):
