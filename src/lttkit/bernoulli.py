@@ -109,6 +109,17 @@ def _z_value(family: str, i: int) -> Fraction:
     return Fraction(1)
 
 
+def _nonzero_x(x) -> Fraction:
+    """The scaling parameter x as a Fraction; a NaN, infinite or zero x raises ValueError naming it."""
+    try:
+        value = Fraction(x)
+    except (OverflowError, ValueError):  # a NaN or an infinity has no ratio
+        raise ValueError(f"scaling parameter x must be a finite number, got {x!r}") from None
+    if value == 0:
+        raise ValueError(f"scaling parameter x must be nonzero, got {x!r}")
+    return value
+
+
 @dataclass(frozen=True)
 class BernoulliSystem:
     """One generated l.t.T. system: L(a) y = rhs with y a scaled Bernoulli vector.
@@ -160,9 +171,7 @@ def gen_system(family: str, kind: str, n: int, x: Fraction) -> BernoulliSystem:
         raise ValueError(f"unknown kind: {kind!r}")
     if n < 1:
         raise ValueError("system size must be >= 1")
-    x = Fraction(x)
-    if x == 0:
-        raise ValueError("scaling parameter x must be nonzero")
+    x = _nonzero_x(x)
     a = _a_column(family, n, x)
     if kind == "typeI":
         return BernoulliSystem(family, kind, n, x, a, [_q_value(family, i) for i in range(n)])
@@ -331,9 +340,7 @@ def bernoulli_numbers(
         raise ValueError(f"unknown solver: {solver!r}")
     if solver == "fast" and method.startswith("binom-"):
         raise ValueError(f"method {method!r} has no l.t.T. system for solver {solver!r}")
-    x = Fraction(x)
-    if x == 0:
-        raise ValueError("scaling parameter x must be nonzero")
+    x = _nonzero_x(x)
 
     if method.startswith("binom-"):
         rows, rhs = _binomial_rows(method.removeprefix("binom-"), count)

@@ -11,7 +11,7 @@ import argparse
 import json
 import sys
 
-from . import bernoulli, fft, series, solver
+from . import bernoulli, fft, format_scalar, series, solver
 from .series import SingularMatrixError
 
 
@@ -28,14 +28,20 @@ def _emit(text: str, out_path: str | None) -> None:
 
 def cmd_bernoulli(args) -> int:
     numbers = bernoulli.bernoulli_numbers(args.count, args.method, solver=args.solver)
+    # format_scalar writes an exact value of any length, past Python's int-string digit limit
     if args.format == "plain":
-        body = "".join(f"B_{2 * j} = {b}\n" for j, b in enumerate(numbers))
+        body = "".join(f"B_{2 * j} = {format_scalar(b)}\n" for j, b in enumerate(numbers))
     elif args.format == "csv":
         rows = ["index,numerator,denominator"]
-        rows.extend(f"{2 * j},{b.numerator},{b.denominator}" for j, b in enumerate(numbers))
+        rows.extend(
+            f"{2 * j},{format_scalar(b.numerator)},{format_scalar(b.denominator)}" for j, b in enumerate(numbers)
+        )
         body = "\n".join(rows) + "\n"
     else:
-        records = [{"j": 2 * j, "num": str(b.numerator), "den": str(b.denominator)} for j, b in enumerate(numbers)]
+        records = [
+            {"j": 2 * j, "num": format_scalar(b.numerator), "den": format_scalar(b.denominator)}
+            for j, b in enumerate(numbers)
+        ]
         body = json.dumps(records, indent=2) + "\n"
     _emit(body, args.out)
     return 0

@@ -10,8 +10,10 @@ Two fields are supported:
   Plain ``float`` values ride this field.
 
 Text forms, used by all file I/O and CLI output: rationals are ``p`` or
-``p/q`` with no spaces and an optional leading minus on ``p``; complex values
-are ``re`` or ``re,im`` with decimal float literals.
+``p/q`` with no spaces and an optional leading minus on ``p``, at any length
+(past Python's limit on int-string conversion, 4300 digits by default, the
+integers are converted in pieces split at powers of 10); complex values are
+``re`` or ``re,im`` with decimal float literals.
 """
 
 from __future__ import annotations
@@ -26,16 +28,45 @@ COMPLEX = "complex"
 _RATIONAL_RE = re.compile(r"-?[0-9]+(?:/[0-9]+)?")
 
 
+def _int_text(n: int) -> str:
+    """str(n) at any length: past the interpreter's digit limit, split at a power of 10.
+
+    Python refuses str() of an int past its limit (4300 digits by default);
+    such an int is divmod by 10**k, k about half its digits, and the halves
+    are joined, the low one padded with zeros to k digits.
+    """
+    try:
+        return str(n)
+    except ValueError:
+        if n < 0:
+            return "-" + _int_text(-n)
+        k = n.bit_length() * 3 // 20  # bits * log10(2) / 2, rounded down
+        high, low = divmod(n, 10**k)
+        return _int_text(high) + _int_text(low).zfill(k)
+
+
+def _text_int(digits: str) -> int:
+    """int(digits) at any length, for decimal digits after an optional minus: the inverse of _int_text."""
+    try:
+        return int(digits)
+    except ValueError:
+        if digits[0] == "-":
+            return -_text_int(digits[1:])
+        k = len(digits) // 2
+        return _text_int(digits[:-k]) * 10**k + _text_int(digits[-k:])
+
+
 def parse_scalar(text: str, field: str):
     """Parse one scalar in the given field ("rational" or "complex").
 
     Raises ValueError on malformed text and ZeroDivisionError on a zero
-    rational denominator.
+    rational denominator. A rational reads back exactly at any length.
     """
     if field == RATIONAL:
         if not _RATIONAL_RE.fullmatch(text):
             raise ValueError(f"malformed rational scalar: {text!r}")
-        return Fraction(text)
+        num, _, den = text.partition("/")
+        return Fraction(_text_int(num), _text_int(den or "1"))
     if field == COMPLEX:
         parts = text.split(",")
         if len(parts) == 1:
@@ -52,9 +83,11 @@ def parse_scalar(text: str, field: str):
 
 
 def format_scalar(value) -> str:
-    """Render a scalar in the text form that parse_scalar accepts."""
+    """Render a scalar in the text form that parse_scalar accepts; a rational at any length."""
     if isinstance(value, (Fraction, int)):
-        return str(Fraction(value))
+        value = Fraction(value)
+        num = _int_text(value.numerator)
+        return num if value.denominator == 1 else f"{num}/{_int_text(value.denominator)}"
     value = complex(value)
     return f"{value.real!r},{value.imag!r}"
 

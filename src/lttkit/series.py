@@ -13,7 +13,10 @@ one denominator, by four-point Kronecker substitution: four big-integer
 multiplies of a quarter of the size, of the operands and of their
 reversals at +X and -X. Its digits are t bits, about half the bound B on
 the coefficients' bits, and each coefficient, which spans two digits, is
-read from the bottom of one product and the top of the reversed one.
+read from the bottom of one product and the top of the reversed one. One
+call takes the (p, v) operand pairs of one product phase: one digit for
+all of them, and each distinct operand packed once, so a pair of one list
+is a squaring.
 ltt_matvec_kronecker wraps it for ints and Fractions, and
 ltt_matvec_naive is its oracle.
 ltt_solve_forward is the baseline the fast solver is judged against: its
@@ -78,17 +81,17 @@ def _values(nums, den, ints):
     return [c // den for c in nums[:ints]] + [Fraction(c, den) for c in nums[ints:]]
 
 
-def _kronecker_digit_bits(parts, v):
-    """Digit width t of _kronecker: the smallest multiple of 16 with 2t >= B + 2.
+def _kronecker_digit_bits(pairs):
+    """Digit width t of _kronecker: the smallest multiple of 16 with 2t >= B + 2, B the largest over the pairs.
 
     Every |p_i| < 2**bits(max|p|) and |v_j| < 2**bits(max|v|), and each
-    coefficient of a product is a sum of at most len(v) < 2**bits(len v)
-    pair products, so |c| < 2**B with B = bits(max|p|) + bits(max|v|) +
+    coefficient of p v is a sum of at most len(v) < 2**bits(len v) pair
+    products, so |c| < 2**B with B = bits(max|p|) + bits(max|v|) +
     bits(len v). With Y = 2**t that is |c| < Y**2 / 4: a coefficient spans
     about two digits, and t is about B/2, not the width of the widest entry.
     """
-    bits = max(max(map(abs, p)) for p in parts).bit_length() + max(map(abs, v)).bit_length()
-    return (bits + len(v).bit_length() + 33) // 32 * 16
+    bits = max(max(map(abs, p)).bit_length() + max(map(abs, v)).bit_length() + len(v).bit_length() for p, v in pairs)
+    return (bits + 33) // 32 * 16
 
 
 def _kronecker_evaluate(ints, t):
@@ -107,11 +110,11 @@ def _kronecker_evaluate(ints, t):
     odd_off = int.from_bytes(ones * (len(ints) // 2), "little") << (wide - 1 + t // 2)
     out = []
     for c in (chunks, chunks[::-1]):
-        if planes == 1:
-            even, odd = int.from_bytes(b"".join(c[0::2]), "little"), int.from_bytes(b"".join(c[1::2]), "little")
-        else:
-            even = int.from_bytes(b"".join(c[0::4]), "little") + (int.from_bytes(b"".join(c[2::4]), "little") << t)
-            odd = int.from_bytes(b"".join(c[1::4]), "little") + (int.from_bytes(b"".join(c[3::4]), "little") << t)
+        # plane j of a half: every (2 planes)-th chunk from the half's j-th, j digits up
+        even, odd = (
+            sum(int.from_bytes(b"".join(c[i + 2 * j :: 2 * planes]), "little") << t * j for j in range(planes))
+            for i in (0, 1)
+        )
         even, odd = even - even_off, (odd << (t // 2)) - odd_off
         out += (even + odd, even - odd)
     return out
@@ -136,15 +139,16 @@ def _kronecker_recover(low, high, top, count, t):
     return out
 
 
-def _kronecker(parts, v, ops: OpCounter | None = None):
-    """Integer l.t.T. products p(z) v(z) mod z**len(p), p in parts, by four-point Kronecker substitution.
+def _kronecker(pairs, ops: OpCounter | None = None):
+    """Integer l.t.T. products p(z) v(z) mod z**len(p), (p, v) in pairs, by four-point Kronecker substitution.
 
     h = p v, of degree D = len(p) + len(v) - 2, is read off its values at
     +-X and those of its reversal z**D h(1/z) at +-X, X = 2**(t/2) with t
-    from _kronecker_digit_bits: four multiplies of a quarter of the size
-    (KS4; Harvey, JSC 44, 2009). Each operand and its reversal are evaluated
-    at +-X (_kronecker_evaluate), v once for all parts, and a p that is v
-    gives four squarings. With Y = X**2 = 2**t, (h(X) + h(-X)) / 2 =
+    from _kronecker_digit_bits, one digit for all the pairs: four multiplies
+    of a quarter of the size (KS4; Harvey, JSC 44, 2009). Each distinct
+    operand, told by identity, and its reversal are evaluated at +-X once
+    for all the pairs (_kronecker_evaluate), so a pair of one list gives
+    four squarings. With Y = X**2 = 2**t, (h(X) + h(-X)) / 2 =
     sum_k e_k Y**k holds the even coefficients e_k = h_2k and (h(X) -
     h(-X)) / (2X) the odd ones; each spans about two digits, so neighbours
     overlap. The same sums for the reversal give high = sum_k e_k Y**(K-k),
@@ -160,13 +164,14 @@ def _kronecker(parts, v, ops: OpCounter | None = None):
     both carry and g step to k + 1 with a few operations on ints of about
     2t bits. Only the len(p) wanted coefficients are recovered.
     """
-    t = _kronecker_digit_bits(parts, v)
+    t = _kronecker_digit_bits(pairs)
     shift = t // 2 + 1  # dividing by 2X
-    v_at = _kronecker_evaluate(v, t)
+    at = {id(x): x for pair in pairs for x in pair}
+    at = {key: _kronecker_evaluate(x, t) for key, x in at.items()}
     out = []
-    for p in parts:
+    for p, v in pairs:
         n, top = len(p), len(p) + len(v) - 2
-        hp, hm, rp, rm = map(mul, v_at if p is v else _kronecker_evaluate(p, t), v_at)
+        hp, hm, rp, rm = map(mul, at[id(p)], at[id(v)])
         high = (rp + rm) >> 1, (rp - rm) >> shift  # the reversal's evens and odds
         coeffs = [0] * n
         coeffs[0::2] = _kronecker_recover((hp + hm) >> 1, high[top % 2], top // 2, (n + 1) // 2, t)
@@ -191,7 +196,7 @@ def ltt_matvec_kronecker(a, v, ops: OpCounter | None = None):
         raise ValueError("empty column")
     (ia, da), (iv, dv) = _numerators(a), _numerators(v)
     # entry i of the naive sum turns Fraction at the first Fraction it pairs
-    return _values(_kronecker([ia], iv, ops)[0], da * dv, min(first_non_int(a), first_non_int(v)))
+    return _values(_kronecker([(ia, iv)], ops)[0], da * dv, min(first_non_int(a), first_non_int(v)))
 
 
 def _extend_denominator(values, den, q):

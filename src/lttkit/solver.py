@@ -36,13 +36,15 @@ picks one level kernel and one final product. Rational inputs (base 2 and
 3) are solved exactly at shrinking block sizes, on integer numerators over
 one reduced denominator. An assembly step applies a companion column to a
 vector spread by the base, whose residue class r is the l.t.T. product of
-hat[r::base] with the vector. Each product of a residue class, in the
-levels and the assembly, is one series._kronecker call: four big-integer
-multiplies of a quarter of the size, by four-point Kronecker substitution.
-A base-2 level's two products are squarings, next = A0**2 - z A1**2 with
-A0, A1 = a[0::2], a[1::2]. A base-3 level's companion column is six
-products of a third of the length, one per pair of the classes A_r =
-a[r::3], and its next column three more (see _hat_base3 and _level).
+hat[r::base] with the vector. Every product phase is one series._kronecker
+call on its operand pairs, each product four big-integer multiplies of a
+quarter of the size, by four-point Kronecker substitution, and each
+distinct operand packed once: an assembly step's class products, with the
+vector packed once; a base-2 level's next column, two squarings, next =
+A0**2 - z A1**2 with A0, A1 = a[0::2], a[1::2]; a base-3 level's companion
+column, six products of a third of the length, one per pair of the
+classes A_r = a[r::3], which packs the three classes; and its next column,
+three more (see _hat_base3 and _level).
 A column that is already zero off the multiples of the base skips its
 level in either field: its companion column is e_1, and its assembly step
 is a pure spread with no multiplication.
@@ -168,12 +170,11 @@ def _hat_base3(col, ops):
 
     With A_r = col[r::3] and y a shift by one slot, its residue classes are
     hat[0::3] = A0**2 - y A1 A2, hat[1::3] = y A2**2 - A0 A1 and hat[2::3] =
-    A1**2 - A0 A2: six l.t.T. products of length L, on three _kronecker calls.
+    A1**2 - A0 A2: six l.t.T. products of length L, in one _kronecker call
+    that packs each class once.
     """
     a0, a1, a2 = col[0::3], col[1::3], col[2::3]
-    s0, p01, p02 = series._kronecker([a0, a1, a2], a0, ops)
-    s1, p12 = series._kronecker([a1, a2], a1, ops)
-    (s2,) = series._kronecker([a2], a2, ops)
+    s0, p01, p02, s1, p12, s2 = series._kronecker([(a0, a0), (a1, a0), (a2, a0), (a1, a1), (a2, a1), (a2, a2)], ops)
     hat = [0] * len(col)
     hat[0::3] = map(sub, s0, [0, *p12])
     hat[1::3] = map(sub, [0, *s2], p01)
@@ -227,10 +228,10 @@ def _apply_hat(hat, w, base, ops):
     """L(hat) applied to w spread by base, truncated to len(hat).
 
     Residue class r is L(hat[r::base]) times the leading len(hat[r::base])
-    entries of w; w is packed once for every class.
+    entries of w: one _kronecker call, which packs w once for every class.
     """
     out = [0] * len(hat)
-    for r, product in enumerate(series._kronecker([hat[r::base] for r in range(min(base, len(hat)))], w, ops)):
+    for r, product in enumerate(series._kronecker([(hat[r::base], w) for r in range(min(base, len(hat)))], ops)):
         out[r::base] = product
     return out
 
@@ -354,12 +355,11 @@ def _level(col, den, base, ops):
     if len(padded) == base:
         return step, [1], 1
     if base == 2:
-        sq0, sq1 = (series._kronecker([h], h, ops)[0] for h in (padded[0::2], padded[1::2]))
+        sq0, sq1 = series._kronecker([(h, h) for h in (padded[0::2], padded[1::2])], ops)
         nxt = sq0[:1] + [p - q for p, q in zip(sq0[1:], sq1)]
     else:
-        nxt = series._kronecker([hat[0::base]], padded[0::base], ops)[0]
-        for r in range(1, base):
-            tail = series._kronecker([hat[r::base]], padded[base - r :: base], ops)[0]
+        nxt, *tails = series._kronecker([(hat[r::3], padded[-r % 3 :: 3]) for r in range(3)], ops)
+        for tail in tails:
             nxt[1:] = [p + q for p, q in zip(nxt[1:], tail)]
     return (step, *series._reduced(nxt, den * hden))
 

@@ -90,6 +90,17 @@ def test_gen_rejects_zero_x():
         gen_system("even", "typeI", 4, Fraction(0))
 
 
+@pytest.mark.parametrize("x", [float("nan"), float("inf"), float("-inf"), 0.0])
+def test_non_finite_or_zero_x_raises_value_error_naming_it(x):
+    # every route checks x, binom-* too, which never use it
+    shown = f"got {x!r}"
+    for method in ("ltt-even-I", "ltt-ram-II", "binom-odd"):
+        with pytest.raises(ValueError, match=shown):
+            bernoulli_numbers(3, method, x)
+    with pytest.raises(ValueError, match=shown):
+        gen_system("odd", "typeII", 3, x)
+
+
 def test_ramanujan_sparsity_pattern():
     for n in (5, 9, 30):
         sys_ = gen_system("ramanujan", "typeI", n, Fraction(1))

@@ -60,6 +60,24 @@ def test_bernoulli_json_round_trips(capsys):
         assert parse_scalar(f"{rec['num']}/{rec['den']}", "rational") == want
 
 
+def test_bernoulli_table_past_the_digit_limit(capsys, monkeypatch):
+    # from count 1033 on, B_2064 and later have numerators past Python's 4300-digit limit on
+    # int-string conversion; a stub of the count-1040 table's shape stands in for its solve
+    table = [Fraction(-(10**4400 + 7 * j), 6 * j + 1) for j in range(1040)]
+    monkeypatch.setattr(bernoulli, "bernoulli_numbers", lambda count, method, solver: table)
+    code, out, _ = run(capsys, "bernoulli", "--count", "1040")
+    assert code == 0
+    got = [line.partition(" = ")[2] for line in out.splitlines()]
+    assert [parse_scalar(text, "rational") for text in got] == table
+    code, out, _ = run(capsys, "bernoulli", "--count", "1040", "--format", "csv")
+    assert code == 0
+    rows = [row.split(",") for row in out.splitlines()[1:]]
+    assert [parse_scalar(f"{num}/{den}", "rational") for _, num, den in rows] == table
+    code, out, _ = run(capsys, "bernoulli", "--count", "1040", "--format", "json")
+    assert code == 0
+    assert [parse_scalar(f"{r['num']}/{r['den']}", "rational") for r in json.loads(out)] == table
+
+
 def test_bernoulli_deterministic_output(capsys):
     _, first, _ = run(capsys, "bernoulli", "--count", "20", "--solver", "fast")
     _, second, _ = run(capsys, "bernoulli", "--count", "20", "--solver", "fast")

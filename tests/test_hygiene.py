@@ -137,6 +137,29 @@ def test_double_range_rule_lives_in_scalars():
     assert not {name for name in imported if name.split(".")[-1] in ("cmath", "math", "scalars")}, imported
 
 
+def test_no_module_sets_the_int_string_digit_limit():
+    # exact values of any length are converted in pieces (scalars), never by raising the
+    # interpreter-wide limit: no module calls set_int_max_str_digits, and neither the import
+    # nor a CLI run changes the limit
+    for path in (SRC / "lttkit").glob("*.py"):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        assert "set_int_max_str_digits" not in _reads(tree), path.name
+    probe = (
+        "import contextlib, io, sys\n"
+        "before = sys.get_int_max_str_digits()\n"
+        "import lttkit\n"
+        "from lttkit import cli\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    code = cli.main(['bernoulli', '--count', '3', '--format', 'json'])\n"
+        "print(code, before, sys.get_int_max_str_digits())\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    out = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True)
+    code, before, after = out.stdout.split()
+    assert code == "0"
+    assert before == after
+
+
 def test_oracles_import_nothing_from_lttkit():
     imported = _imported(ast.parse((TESTS / "oracles.py").read_text(encoding="utf-8")))
     assert imported

@@ -53,6 +53,33 @@ def test_format_round_trip():
         assert parse_scalar(format_scalar(z), "complex") == z
 
 
+def _digits_and_int(rng, d):
+    # a random d-digit string and its value, built by Horner's rule over 1000-digit pieces
+    text = str(rng.randint(1, 9)) + "".join(rng.choice("0123456789") for _ in range(d - 1))
+    value = 0
+    for i in range(0, d, 1000):
+        piece = text[i : i + 1000]
+        value = value * 10 ** len(piece) + int(piece)
+    return text, value
+
+
+def test_rationals_of_any_length_round_trip():
+    # Python refuses str() and int() of integers past 4300 digits; the text form has no such
+    # limit, and up to it format_scalar writes what str() writes
+    rng = random.Random(11)
+    for d in (1, 640, 4299, 4300, 4301, 8601, 10_000, 30_001):
+        num, p = _digits_and_int(rng, d)
+        den, q = _digits_and_int(rng, max(d // 3, 1))
+        for value, text in ((p, num), (-p, "-" + num), (10 ** (d - 1), "1" + "0" * (d - 1))):
+            assert format_scalar(value) == text, d
+            assert parse_scalar(text, "rational") == value, d
+        r = Fraction(-p, q)
+        text = format_scalar(r)
+        assert parse_scalar(text, "rational") == r, d
+        if d <= 4300:
+            assert text == str(r) and format_scalar(p) == str(p) == num, d
+
+
 def test_field_of():
     assert field_of([Fraction(1), 3]) == "rational"
     assert field_of([Fraction(1), 0.5]) == "complex"

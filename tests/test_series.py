@@ -117,7 +117,7 @@ def test_kronecker_squaring_matches_naive():
         huge = list(signed)
         huge[n // 2] = -(2**5000)
         for a in (negative, signed, [0] * n, huge):
-            assert _same(_kronecker([a], a)[0], ltt_matvec_naive(a, a)), (n, a[0])
+            assert _same(_kronecker([(a, a)])[0], ltt_matvec_naive(a, a)), (n, a[0])
 
 
 def _truncated_naive(p, v):
@@ -133,8 +133,8 @@ def test_kronecker_two_point_every_length():
     for n in list(range(1, 41)) + [127, 128]:
         p = [rng.randint(-99, 99) for _ in range(n)]
         v = [rng.randint(-99, 99) for _ in range(n)]
-        assert _kronecker([p], v) == [ltt_matvec_naive(p, v)], n
-        assert _kronecker([v], v) == [ltt_matvec_naive(v, v)], n
+        assert _kronecker([(p, v)]) == [ltt_matvec_naive(p, v)], n
+        assert _kronecker([(v, v)]) == [ltt_matvec_naive(v, v)], n
 
 
 def test_kronecker_unequal_lengths():
@@ -144,7 +144,10 @@ def test_kronecker_unequal_lengths():
         for m in sorted({1, max(n - 1, 1), n + 1, 2 * n + 3}):
             p = [rng.randint(-9, 9) for _ in range(n)]
             v = [rng.randint(-9, 9) for _ in range(m)]
-            assert _kronecker([p], v) == [_truncated_naive(p, v)], (n, m)
+            assert _kronecker([(p, v)]) == [_truncated_naive(p, v)], (n, m)
+            # pairs that share operands, packed once each at the largest pair's digit
+            want = [_truncated_naive(p, v), ltt_matvec_naive(v, v), _truncated_naive(v, p)]
+            assert _kronecker([(p, v), (v, v), (v, p)]) == want, (n, m)
 
 
 def test_kronecker_parts_share_one_v():
@@ -155,7 +158,7 @@ def test_kronecker_parts_share_one_v():
         hat = [rng.randint(-50, 50) for _ in range(m)]
         v = [rng.randint(-50, 50) for _ in range(-(-m // 3))]
         parts = [hat[r::3] for r in range(min(3, m))] + [v]
-        assert _kronecker(parts, v) == [_truncated_naive(p, v) for p in parts], m
+        assert _kronecker([(p, v) for p in parts]) == [_truncated_naive(p, v) for p in parts], m
 
 
 def test_kronecker_slot_bound_at_odd_and_even_index():
@@ -168,7 +171,7 @@ def test_kronecker_slot_bound_at_odd_and_even_index():
             for sp, sv in ((1, 1), (1, -1), (-1, -1)):
                 p = [sp * (2**64 - 1)] * n
                 v = [sv * (2**bv - 1)] * n
-                assert _kronecker([p, v], v) == [ltt_matvec_naive(p, v), ltt_matvec_naive(v, v)], (n, bv, sp, sv)
+                assert _kronecker([(p, v), (v, v)]) == [ltt_matvec_naive(p, v), ltt_matvec_naive(v, v)], (n, bv, sp, sv)
 
 
 def test_kronecker_slot_bound_without_spare_bit():
@@ -182,7 +185,7 @@ def test_kronecker_slot_bound_without_spare_bit():
             v = [sv * (2**56 - 1)] * n
             want = ltt_matvec_naive(p, v)
             assert abs(want[-1]).bit_length() == 64 + 56 + 7
-            assert _kronecker([p], v) == [want], (n, sp, sv)
+            assert _kronecker([(p, v)]) == [want], (n, sp, sv)
 
 
 def test_kronecker_huge_entry_at_odd_index():
@@ -193,7 +196,7 @@ def test_kronecker_huge_entry_at_odd_index():
             p[(n // 2) | 1] = sign * 2**5000  # an odd index below n
             v = [rng.randint(-9, 9) for _ in range(n)]
             for a, b in ((p, v), (v, p), (p, p)):
-                assert _kronecker([a], b) == [ltt_matvec_naive(a, b)], (n, sign)
+                assert _kronecker([(a, b)]) == [ltt_matvec_naive(a, b)], (n, sign)
 
 
 def test_kronecker_digit_width():
@@ -203,8 +206,9 @@ def test_kronecker_digit_width():
     balanced = ([2**64 - 1] * 127, [2**56 - 1] * 127)  # B = 64 + 56 + 7 = 127
     unbalanced = ([-(2**1700) + 1] * 128, [255] * 128)  # B = 1700 + 8 + 8 = 1716
     for (p, v), t in ((balanced, 80), (unbalanced, 864)):
-        assert _kronecker_digit_bits([p], v) == t
-    assert _kronecker_digit_bits([[1]], [1]) == 16
+        assert _kronecker_digit_bits([(p, v)]) == t
+    assert _kronecker_digit_bits([balanced, unbalanced]) == _kronecker_digit_bits([unbalanced, balanced]) == 864
+    assert _kronecker_digit_bits([([1], [1])]) == 16
 
 
 def test_kronecker_at_the_digit_bound():
@@ -218,16 +222,16 @@ def test_kronecker_at_the_digit_bound():
                 for sp, sv in ((1, 1), (1, -1), (-1, 1), (-1, -1)):
                     p, v = [sp * (2**bits_p - 1)] * n, [sv * (2**bits_v - 1)] * m
                     bound = bits_p + bits_v + m.bit_length()
-                    assert 2 * _kronecker_digit_bits([p], v) == bound + 2
+                    assert 2 * _kronecker_digit_bits([(p, v)]) == bound + 2
                     want = _truncated_naive(p, v)
                     assert abs(want[-1]).bit_length() == bound
-                    assert _kronecker([p], v) == [want], (n, m, sp, sv)
-                    assert _kronecker([v], v) == [ltt_matvec_naive(v, v)], (m, sv)
+                    assert _kronecker([(p, v)]) == [want], (n, m, sp, sv)
+                    assert _kronecker([(v, v)]) == [ltt_matvec_naive(v, v)], (m, sv)
     # a squaring at B = 126: 63 * (2**60 - 1)**2 needs all 126 bits
     edge = [-(2**60 - 1)] * 63
-    assert 2 * _kronecker_digit_bits([edge], edge) == 126 + 2
+    assert 2 * _kronecker_digit_bits([(edge, edge)]) == 126 + 2
     assert abs(ltt_matvec_naive(edge, edge)[-1]).bit_length() == 126
-    assert _kronecker([edge], edge) == [ltt_matvec_naive(edge, edge)]
+    assert _kronecker([(edge, edge)]) == [ltt_matvec_naive(edge, edge)]
 
 
 def test_kronecker_two_planes():
@@ -239,20 +243,20 @@ def test_kronecker_two_planes():
         for n in (1, 2, 3, 4, 5, 8, 9, 17, 40):
             wide = [rng.randint(-(2**bits_w) + 1, 2**bits_w - 1) for _ in range(n)]
             narrow = [rng.randint(-(2**bits_n) + 1, 2**bits_n - 1) for _ in range(n)]
-            t = _kronecker_digit_bits([wide], narrow)
+            t = _kronecker_digit_bits([(wide, narrow)])
             assert t < bits_w
             wide[n // 2] = -(2**t) * rng.randint(1, 2 ** (bits_w - t - 1))
             wide[-1] = -(2**t)
             wide[0] = rng.choice((-1, 1)) * (2**bits_w - 1)
             for a, b in ((wide, narrow), (narrow, wide), (wide, wide)):
-                assert _kronecker([a], b) == [ltt_matvec_naive(a, b)], (bits_w, bits_n, n)
+                assert _kronecker([(a, b)]) == [ltt_matvec_naive(a, b)], (bits_w, bits_n, n)
     # the widest entry has exactly t bits: an offset chunk of t bits cannot hold it
     for n in (9, 10, 15):
         wide = [-(2**32) + 1, 2**31] + [rng.randint(-(2**32) + 1, 2**32 - 1) for _ in range(n - 2)]
         narrow = [rng.randint(-(2**20) + 1, 2**20 - 1) for _ in range(n - 1)] + [2**20 - 1]
-        assert _kronecker_digit_bits([wide], narrow) == 32
+        assert _kronecker_digit_bits([(wide, narrow)]) == 32
         for a, b in ((wide, narrow), (narrow, wide)):
-            assert _kronecker([a], b) == [ltt_matvec_naive(a, b)], n
+            assert _kronecker([(a, b)]) == [ltt_matvec_naive(a, b)], n
 
 
 def test_kronecker_short_and_long_v():
@@ -267,7 +271,7 @@ def test_kronecker_short_and_long_v():
                 ([2**40 - 1] * n, [-(2**21 - 1)] * m),
                 ([rng.randint(-(2**40), 2**40) for _ in range(n)], [rng.randint(-(2**21), 2**21) for _ in range(m)]),
             ):
-                assert _kronecker([p, v], v) == [_truncated_naive(p, v), ltt_matvec_naive(v, v)], (n, m)
+                assert _kronecker([(p, v), (v, v)]) == [_truncated_naive(p, v), ltt_matvec_naive(v, v)], (n, m)
 
 
 def test_kronecker_shape_error():
@@ -423,6 +427,19 @@ def test_vector_file_round_trip(tmp_path):
     write_vector(path, zvals)
     got = read_vector(path)
     assert got == zvals and all(type(v) is complex for v in got)
+
+
+def test_vector_file_round_trips_exact_values_of_any_length(tmp_path):
+    # past Python's 4300-digit limit on int-string conversion: 10**4 and 10**5 digits
+    path = tmp_path / "vec.txt"
+    rng = random.Random(67)
+    for d in (10_000, 100_000):
+        big = 10 ** (d - 1) + 3 * rng.getrandbits(3 * d)  # 1 mod 3
+        values = [Fraction(-big, 3), Fraction(7, big), Fraction(big)]
+        write_vector(path, values)
+        got = read_vector(path)
+        assert got == values and all(type(v) is Fraction for v in got), d
+        assert len(path.read_text(encoding="ascii").splitlines()[1]) == d + 3, d  # "-", "/3"
 
 
 def test_write_vector_writes_only_what_read_vector_reads(tmp_path):

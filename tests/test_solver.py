@@ -14,7 +14,7 @@ from oracles import (
     tangent_bernoulli,
 )
 
-from lttkit import scalars, solver
+from lttkit import scalars, series, solver
 from lttkit.bernoulli import gen_system
 from lttkit.series import (
     SingularMatrixError,
@@ -105,6 +105,21 @@ def test_hat_base3_matches_exact_product_form():
             ints = next((i for i, v in enumerate(a) if type(v) is not int), m)
             assert [type(c) for c in hat] == [int] * ints + [Fraction] * (m - ints), a
     assert sparsify_hat([Fraction(1)] * 9, 3) == [1, -1, 0] * 3  # 1 / (1 + z + z**2)
+
+
+def test_hat_base3_packs_each_class_once(monkeypatch):
+    # the six class products of a companion column are one _kronecker call, which packs
+    # each of A0, A1, A2 once: three evaluations, not one per product's operands
+    packed = []
+    evaluate = series._kronecker_evaluate
+    monkeypatch.setattr(series, "_kronecker_evaluate", lambda ints, t: packed.append(ints) or evaluate(ints, t))
+    rng = random.Random(75)
+    for m in (3, 12, 60):
+        col = [1] + [rng.randint(-9, 9) for _ in range(m - 1)]
+        packed.clear()
+        hat = solver._hat_base3(col, None)
+        assert sorted(packed) == sorted(col[r::3] for r in range(3)), m
+        assert product_form_hat3(col) == [Eisenstein(c) for c in hat], m
 
 
 def test_hat_complex_path_is_real_for_rational_input():
